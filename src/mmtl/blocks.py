@@ -14,7 +14,6 @@ back onto the input through a learnable scalar:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -23,8 +22,8 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .ops import adaptive_avg_pool, avg_pool, convolve, depthwise_conv2d, expand_bins, \
     gelu, grouped_pointwise, linear
-from .ssm import ScanDirection, SsmParams, compute_gate, init_ssm_params, scan
-from .tensor import Tensor, add, concat, param, reshape, scale_by, scale_channels, \
+from .ssm import ScanDirection, SsmParams, compute_gate, init_ssm_params, init_transition, scan
+from .tensor import Tensor, add, concat, glorot, param, reshape, scale_by, scale_channels, \
     take_channels, transpose
 
 EXTERIOR_VIEWS = ("front", "left", "right")
@@ -45,11 +44,6 @@ class ViewSequence:
         if self.frames.ndim != 4 or self.frames.shape[1] != 3:
             raise InputError(f"view {self.view_id}: frames must be [T, 3, H, W], "
                              f"got {self.frames.shape}")
-
-
-def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> Tensor:
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return param(rng.uniform(-limit, limit, size=shape))
 
 
 @dataclass
@@ -88,9 +82,9 @@ def init_stem(view_ids: Sequence[str], frame_count: int, out_channels: int,
     k2 = kernel_size * kernel_size
     dw_w, dw_b, pw_w, pw_b = [], [], [], []
     for _ in view_ids:
-        dw_w.append(_glorot(rng, (tc, 1, kernel_size, kernel_size), k2, k2))
+        dw_w.append(glorot(rng, (tc, 1, kernel_size, kernel_size), k2, k2))
         dw_b.append(param(np.zeros(tc)))
-        pw_w.append(_glorot(rng, (frame_count, cpf, 3), 3, cpf))
+        pw_w.append(glorot(rng, (frame_count, cpf, 3), 3, cpf))
         pw_b.append(param(np.zeros(frame_count * cpf)))
     return StemParams(tuple(view_ids), dw_w, dw_b, pw_w, pw_b,
                       frame_count, out_channels, height, width)
@@ -139,8 +133,9 @@ class BlockParams:
 
     conv1d_w: Tensor            # [L, L, 3]; positions as channels, C as length
     conv1d_b: Tensor
-    ssm_forward: SsmParams      # B / C_mat shared with ssm_backward
-    ssm_backward: SsmParams
+    ssm: SsmParams              # [C] rows: forward-scan A/D, B/C shared by both scans
+    A_bwd: Tensor               # [C/T, n] backward-scan A; it scans one frame group
+    D_bwd: Tensor               # [C/T]
     local_w: Tensor             # [C, C]
     local_b: Tensor
     global_w: Tensor
@@ -156,9 +151,9 @@ class BlockParams:
             "local_w": self.local_w, "local_b": self.local_b,
             "global_w": self.global_w, "global_b": self.global_b,
             "out_w": self.out_w, "out_b": self.out_b, "gamma": self.gamma,
-            "ssm.A_fwd": self.ssm_forward.A, "ssm.D_fwd": self.ssm_forward.D,
-            "ssm.A_bwd": self.ssm_backward.A, "ssm.D_bwd": self.ssm_backward.D,
-            "ssm.B": self.ssm_forward.B, "ssm.C": self.ssm_forward.C_mat,
+            "ssm.A_fwd": self.ssm.A, "ssm.D_fwd": self.ssm.D,
+            "ssm.A_bwd": self.A_bwd, "ssm.D_bwd": self.D_bwd,
+            "ssm.B": self.ssm.B, "ssm.C": self.ssm.C_mat,
         }
         return out
 
@@ -170,20 +165,18 @@ def init_block(channels: int, frame_count: int, height: int, width: int,
         raise ConfigError(f"block: channels {channels} not divisible by "
                           f"frame count {frame_count}")
     spatial = height * width
-    fwd = init_ssm_params(channels, state_dim, rng)
-    bwd = init_ssm_params(channels, state_dim, rng)
-    bwd.B = fwd.B          # shared between scan directions
-    bwd.C_mat = fwd.C_mat
+    group = channels // frame_count
     return BlockParams(
-        conv1d_w=_glorot(rng, (spatial, spatial, 3), spatial * 3, spatial * 3),
+        ssm=init_ssm_params(channels, state_dim, rng),
+        A_bwd=init_transition(group, state_dim, rng),
+        D_bwd=param(np.zeros(group)),
+        conv1d_w=glorot(rng, (spatial, spatial, 3), spatial * 3, spatial * 3),
         conv1d_b=param(np.zeros(spatial)),
-        ssm_forward=fwd,
-        ssm_backward=bwd,
-        local_w=_glorot(rng, (channels, channels), channels, channels),
+        local_w=glorot(rng, (channels, channels), channels, channels),
         local_b=param(np.zeros(channels)),
-        global_w=_glorot(rng, (channels, channels), channels, channels),
+        global_w=glorot(rng, (channels, channels), channels, channels),
         global_b=param(np.zeros(channels)),
-        out_w=_glorot(rng, (channels, channels), channels, channels),
+        out_w=glorot(rng, (channels, channels), channels, channels),
         out_b=param(np.zeros(channels)),
         gamma=param(np.array(gamma_init)),
         frame_count=frame_count,
@@ -217,14 +210,14 @@ def dual_path_block(x: Tensor, p: BlockParams,
     z = gelu(z)
     seq = reshape(transpose(z, (1, 0)), (t, group, spatial))  # [T, C', L]
 
-    fwd_p = p.ssm_forward.restrict(group)
+    fwd_p = p.ssm.restrict(group)
     local_seq = scan(seq, fwd_p, ScanDirection.FORWARD)
     local_map = reshape(local_seq, (c, h, w))
     local_map = avg_pool(local_map, 3, stride=1, padding=1)
     local_feat = channel_linear(local_map, p.local_w, p.local_b)
 
     bwd_dir = ScanDirection.FORWARD if single_direction else ScanDirection.BACKWARD
-    bwd_p = p.ssm_backward.restrict(group)
+    bwd_p = SsmParams(A=p.A_bwd, B=fwd_p.B, C_mat=fwd_p.C_mat, D=p.D_bwd, n=fwd_p.n)
     global_seq = scan(seq, bwd_p, bwd_dir)
     global_map = reshape(global_seq, (c, h, w))
     if local_only:
@@ -234,7 +227,7 @@ def dual_path_block(x: Tensor, p: BlockParams,
         global_map = expand_bins(adaptive_avg_pool(global_map, grid), (h, w))
     global_feat = channel_linear(global_map, p.global_w, p.global_b)
 
-    gate = compute_gate(p.ssm_forward)                        # [C]
+    gate = compute_gate(p.ssm)                                # [C]
     merged = scale_channels(add(local_feat, global_feat), gate)
     projected = channel_linear(merged, p.out_w, p.out_b)
     return add(x, scale_by(projected, p.gamma))

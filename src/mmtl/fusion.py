@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ArgumentError, DimensionError
 from .ops import RunningStats, batchnorm, convolve, depthwise_conv2d, sigmoid, softmax
-from .tensor import Tensor, add, concat, matmul, mul, narrow, param, reshape, \
-    scale, transpose
+from .tensor import Tensor, add, concat, glorot, matmul, mul, narrow, param, \
+    reshape, scale, transpose
 
 NUM_MODALITIES = 3
 NUM_TASKS = 4
@@ -81,19 +81,14 @@ class GateParams:
         return out
 
 
-def _glorot(rng, shape, fan_in, fan_out):
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return param(rng.uniform(-limit, limit, size=shape))
-
-
 def init_gate_params(channels: int, rng: np.random.Generator,
                      num_gates: int = NUM_TASKS,
                      with_attention: bool = True) -> GateParams:
     c3 = 3 * channels
     if with_attention:
-        wq = _glorot(rng, (channels, c3, 1, 1), c3, channels)
-        wk = _glorot(rng, (channels, c3, 1, 1), c3, channels)
-        wv = _glorot(rng, (channels, c3, 1, 1), c3, channels)
+        wq = glorot(rng, (channels, c3, 1, 1), c3, channels)
+        wk = glorot(rng, (channels, c3, 1, 1), c3, channels)
+        wv = glorot(rng, (channels, c3, 1, 1), c3, channels)
         bq, bk, bv = (param(np.zeros(channels)) for _ in range(3))
     else:
         wq = wk = wv = bq = bk = bv = None  # type: ignore[assignment]
@@ -136,15 +131,14 @@ def task_gates(s: Tensor, p: GateParams, r: int, train: bool = True) -> List[Ten
     return [reshape(narrow(g, 1, i, 1), (c, h, w)) for i in range(NUM_MODALITIES)]
 
 
+def _gated_sum(m: ModalityFeatures, gates: List[Tensor]) -> Tensor:
+    return add(add(mul(m.h1, gates[0]), mul(m.h2, gates[1])), mul(m.h3, gates[2]))
+
+
 def task_fuse(m: ModalityFeatures, s: Tensor, p: GateParams, r: int,
               train: bool = True) -> Tensor:
     """Gate-weighted sum of the modality features for task r."""
-    gates = task_gates(s, p, r, train=train)
-    feats = m.as_list()
-    out = mul(feats[0], gates[0])
-    for i in range(1, NUM_MODALITIES):
-        out = add(out, mul(feats[i], gates[i]))
-    return out
+    return _gated_sum(m, task_gates(s, p, r, train=train))
 
 
 def fuse_all(m: ModalityFeatures, p: GateParams, train: bool = True,
@@ -157,10 +151,7 @@ def fuse_all(m: ModalityFeatures, p: GateParams, train: bool = True,
         gate_idx = r if p.num_gates > 1 else 0
         gates = task_gates(s, p, gate_idx, train=train)
         telemetry[r] = [float(g.data.mean()) for g in gates]
-        out = mul(m.h1, gates[0])
-        out = add(out, mul(m.h2, gates[1]))
-        out = add(out, mul(m.h3, gates[2]))
-        feats.append(out)
+        feats.append(_gated_sum(m, gates))
     return feats, telemetry
 
 
@@ -177,7 +168,7 @@ class ConcatFuseParams:
 
 def init_concat_fuse(channels: int, rng: np.random.Generator) -> ConcatFuseParams:
     return ConcatFuseParams(
-        w=_glorot(rng, (channels, 3 * channels, 1, 1), 3 * channels, channels),
+        w=glorot(rng, (channels, 3 * channels, 1, 1), 3 * channels, channels),
         b=param(np.zeros(channels)),
     )
 

@@ -7,7 +7,6 @@ the tiny numeric range of joint coordinates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +14,7 @@ import numpy as np
 from .errors import InputError
 from .ops import RunningStats, adaptive_avg_pool, avg_pool, batchnorm, convolve, gelu, \
     linear
-from .tensor import Tensor, param, reshape, tile_spatial
+from .tensor import Tensor, glorot, param, reshape, tile_spatial
 
 
 @dataclass
@@ -64,21 +63,16 @@ class JointBranchParams:
                 "proj_w": self.proj_w, "proj_b": self.proj_b}
 
 
-def _glorot(rng, shape, fan_in, fan_out):
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return param(rng.uniform(-limit, limit, size=shape))
-
-
 def init_joint_branch(joint_count: int, out_channels: int, height: int, width: int,
                       rng: np.random.Generator) -> JointBranchParams:
     return JointBranchParams(
-        conv1_w=_glorot(rng, (16, 1, 3, 3, 3), 27, 16 * 27),
+        conv1_w=glorot(rng, (16, 1, 3, 3, 3), 27, 16 * 27),
         conv1_b=param(np.zeros(16)),
-        conv2_w=_glorot(rng, (32, 16, 3, 3, 3), 16 * 27, 32 * 27),
+        conv2_w=glorot(rng, (32, 16, 3, 3, 3), 16 * 27, 32 * 27),
         conv2_b=param(np.zeros(32)),
         bn_scale=param(np.ones(32)),
         bn_shift=param(np.zeros(32)),
-        proj_w=_glorot(rng, (32 * 4, out_channels), 32 * 4, out_channels),
+        proj_w=glorot(rng, (32 * 4, out_channels), 32 * 4, out_channels),
         proj_b=param(np.zeros(out_channels)),
         joint_count=joint_count,
         out_channels=out_channels,

@@ -22,6 +22,7 @@ from .fusion import ConcatFuseParams, GateParams, ModalityFeatures, concat_fuse,
     fuse_all, init_concat_fuse, init_gate_params
 from .heads import HeadParams, TaskSpec, head_forward, init_head
 from .joints import JointBranchParams, init_joint_branch, joints_forward
+from .ops import RunningStats
 from .serial import dump_tensor, load_tensor
 from .tensor import Tensor, zeros
 
@@ -165,22 +166,44 @@ class Model:
 
     # -- weight dump / load --------------------------------------------------
 
+    def _running_stats(self) -> Dict[str, RunningStats]:
+        """Batch-norm running statistics by checkpoint name: state that eval
+        mode reads, kept out of ``parameters()`` and so out of the optimizer."""
+        out = {}
+        if self.joint_branch is not None:
+            out["joints.bn"] = self.joint_branch.bn_stats
+        for r, stats in enumerate(self.gate_params.bn_stats if self.gate_params else []):
+            out[f"fusion.gate{r}_bn"] = stats
+        return out
+
+    def _checkpoint(self) -> Dict[str, np.ndarray]:
+        out = {name: p.data for name, p in self._params.items()}
+        for name, stats in self._running_stats().items():
+            out[name + ".running_mean"], out[name + ".running_var"] = stats.mean, stats.var
+        return out
+
     def save_weights(self, directory) -> None:
+        """One float32 ``T3TN`` file per parameter and per running statistic."""
         d = Path(directory)
         d.mkdir(parents=True, exist_ok=True)
-        for name, p in self._params.items():
-            dump_tensor(p, d / (name + ".t3tn"))
+        for name, data in self._checkpoint().items():
+            dump_tensor(Tensor(data), d / (name + ".t3tn"))
 
     def load_weights(self, directory) -> None:
+        """Read what ``save_weights`` wrote; nothing changes unless every file loads."""
         d = Path(directory)
-        for name, p in self._params.items():
+        loaded = {}
+        for name, data in self._checkpoint().items():
             path = d / (name + ".t3tn")
             if not path.exists():
                 raise InputError(f"missing weight file {path}")
-            loaded = load_tensor(path)
-            if loaded.shape != p.shape:
-                raise InputError(f"{name}: stored shape {loaded.shape} != {p.shape}")
-            p.data = loaded.data
+            loaded[name] = load_tensor(path).data
+            if loaded[name].shape != data.shape:
+                raise InputError(f"{name}: stored shape {loaded[name].shape} != {data.shape}")
+        for name, p in self._params.items():
+            p.data = loaded[name]
+        for name, stats in self._running_stats().items():
+            stats.mean, stats.var = loaded[name + ".running_mean"], loaded[name + ".running_var"]
 
 
 def count_params(config: ModelConfig):

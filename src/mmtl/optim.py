@@ -38,14 +38,18 @@ class OptimizerState:
 def sgd_step(state: OptimizerState, params: Dict[str, Tensor],
              grads: Optional[Dict[str, np.ndarray]] = None) -> None:
     """v <- momentum*v + g + wd*w;  w <- w - lr*v. Parameters without a
-    gradient this step are skipped."""
+    gradient this step are skipped; a non-finite gradient anywhere rejects the
+    whole step before anything changes."""
     lr = state.lr
+    step = []
     for name, p in params.items():
         g = grads.get(name) if grads is not None else p.grad
         if g is None:
             continue
         if not np.all(np.isfinite(g)):
             raise TrainingDiverged(f"non-finite gradient in parameter '{name}'")
+        step.append((name, p, g))
+    for name, p, g in step:
         v = state.velocity.get(name)
         if v is None:
             v = np.zeros_like(p.data)

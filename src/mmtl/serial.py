@@ -8,6 +8,7 @@ Joint file: magic b"T3JT", u32 T, u32 J, then T*J*3 little-endian float32.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -35,16 +36,12 @@ def load_tensor(path) -> Tensor:
     raw = Path(path).read_bytes()
     if raw[:4] != TENSOR_MAGIC:
         raise InputError(f"{path}: bad tensor magic {raw[:4]!r}")
+    if len(raw) < 5 or len(raw) < 5 + 4 * raw[4]:
+        raise InputError(f"{path}: truncated tensor header")
     rank = raw[4]
     header_end = 5 + 4 * rank
-    if len(raw) < header_end:
-        raise InputError(f"{path}: truncated tensor header")
     dims = struct.unpack(f"<{rank}I", raw[5:header_end])
-    count = int(np.prod(dims)) if rank else 1
-    payload = np.frombuffer(raw, dtype="<f4", offset=header_end)
-    if payload.size != count:
-        raise InputError(f"{path}: payload has {payload.size} values, header says {count}")
-    return Tensor(payload.astype(np.float64).reshape(dims))
+    return Tensor(_payload(path, raw, header_end, math.prod(dims)).reshape(dims))
 
 
 def dump_joints(joints: np.ndarray, path) -> None:
@@ -61,8 +58,15 @@ def load_joints(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if raw[:4] != JOINTS_MAGIC:
         raise InputError(f"{path}: bad joints magic {raw[:4]!r}")
+    if len(raw) < 12:
+        raise InputError(f"{path}: truncated joints header")
     t, j = struct.unpack("<II", raw[4:12])
-    payload = np.frombuffer(raw, dtype="<f4", offset=12)
-    if payload.size != t * j * 3:
-        raise InputError(f"{path}: payload has {payload.size} values, header says {t * j * 3}")
-    return payload.astype(np.float64).reshape(t, j, 3)
+    return _payload(path, raw, 12, t * j * 3).reshape(t, j, 3)
+
+
+def _payload(path, raw: bytes, offset: int, count: int) -> np.ndarray:
+    """The float32 values after the header, widened; exactly ``count`` of them."""
+    if len(raw) - offset != 4 * count:
+        raise InputError(f"{path}: payload has {len(raw) - offset} bytes, "
+                         f"header says {count} values")
+    return np.frombuffer(raw, dtype="<f4", offset=offset).astype(np.float64)

@@ -4,12 +4,19 @@ axis and the sigmoid channel gate derived from the scan parameters.
 The recurrence, per channel c and spatial position l, with n-dimensional
 hidden state h:
 
-    h_t = exp(min(a_c, 0)) * h_{t-1} + b_c * x_t[c, l]
+    h_t = lam_c * h_{t-1} + b_c * x_t[c, l],    lam_c = exp(min(a_c, 0))
     y_t = <c_c, h_t> + d_c * x_t[c, l]
 
 The transition exponent is clamped at zero so the hidden state is bounded
 for any parameter value; at a_c = 0 the recurrence degenerates to a running
-sum, which pins down the semantics exactly.
+sum, which pins down the semantics exactly. Where a >= 0 the transition is
+constant, so those entries of A receive exactly zero gradient.
+
+The parameters do not depend on the input, so unrolling the recurrence gives
+a causal convolution over frames, which is how ``scan`` computes it:
+
+    y_t = sum_{k=0}^{t} K[k, c] * x_{t-k}[c, l]
+    K[k, c] = sum_n b_cn c_cn lam_cn^k  +  [k == 0] d_c
 
 The gate combines the parameter matrices into one weight per channel:
 
@@ -23,11 +30,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionError
+from .errors import DimensionError
 from .ops import sigmoid
 from .tensor import Tensor, accumulate, add, flip, matmul, narrow, param, record, \
     reshape, transpose
@@ -47,8 +54,9 @@ def unit_vector(length: int) -> Tensor:
 class SsmParams:
     """State-transition parameter set for one scan path.
 
-    A, B, C_mat are [channels, n]; D is [channels]. B and C_mat may be shared
-    (the same Tensor objects) between a forward and a backward path.
+    A, B, C_mat are [channels, n]; D is [channels]. A set may be assembled
+    from other sets' tensors, as a block's backward scan takes B and C_mat
+    from its forward set.
     """
 
     A: Tensor
@@ -94,9 +102,14 @@ class SsmParams:
         return {"A": self.A, "B": self.B, "C_mat": self.C_mat, "D": self.D}
 
 
+def init_transition(channels: int, n: int, rng: np.random.Generator) -> Tensor:
+    """Transition exponents A [channels, n], decays exp(a) in (0.55, 0.95)."""
+    return param(rng.uniform(-0.6, -0.05, size=(channels, n)))
+
+
 def init_ssm_params(channels: int, n: int, rng: np.random.Generator) -> SsmParams:
     return SsmParams(
-        A=param(rng.uniform(-0.6, -0.05, size=(channels, n))),
+        A=init_transition(channels, n, rng),
         B=param(rng.normal(0.0, 0.3, size=(channels, n))),
         C_mat=param(rng.normal(0.0, 0.3, size=(channels, n))),
         D=param(np.zeros(channels)),
@@ -113,81 +126,51 @@ def compute_gate(p: SsmParams) -> Tensor:
     return sigmoid(add(add(a_term, bc_term), p.D))
 
 
-def _scan_forward_raw(x: np.ndarray, a: np.ndarray, b: np.ndarray,
-                      c: np.ndarray, d: np.ndarray):
-    """Sequential recurrence; returns (y, hs) with hs[t] the state after step t."""
-    T, C, L = x.shape
-    n = a.shape[1]
-    lam = np.exp(np.minimum(a, 0.0))            # [C, n]
-    h = np.zeros((C, L, n))
-    hs = np.empty((T, C, L, n))
-    y = np.empty_like(x)
-    for t in range(T):
-        h = h * lam[:, None, :] + x[t][:, :, None] * b[:, None, :]
-        hs[t] = h
-        y[t] = np.einsum("cln,cn->cl", h, c) + x[t] * d[:, None]
-    return y, hs, lam
+def _lags(frames: int) -> np.ndarray:
+    """lags[k, t, s] = [t - s == k]: maps a kernel over lags to the causal [t, s]
+    convolution matrix and, the other way, sums a [t, s] matrix along diagonals."""
+    k = np.arange(frames)
+    return (k[:, None, None] == k[None, :, None] - k[None, None, :]).astype(np.float64)
 
 
-def scan(x: Tensor, p: SsmParams, direction: ScanDirection = ScanDirection.FORWARD,
-         frame_count: Optional[int] = None) -> Tensor:
-    """Run the linear recurrence over the leading (temporal) axis of x [T, C, L].
+def scan(x: Tensor, p: SsmParams, direction: ScanDirection = ScanDirection.FORWARD) -> Tensor:
+    """Run the linear recurrence over the leading (temporal) axis of x [T, C, L],
+    as the causal convolution over frames given in the module docstring.
 
     Backward direction is literally reverse -> forward scan -> reverse, so the
     duality identity holds bit-exactly.
     """
     if x.ndim != 3:
         raise DimensionError(f"scan: x must be [T, C, L], got {x.shape}")
-    T, C, L = x.shape
-    if frame_count is not None and T != frame_count:
-        raise DimensionError(f"scan: {T} frames, configured frame count is {frame_count}")
+    T, C, _ = x.shape
     if C != p.channels:
         raise DimensionError(f"scan: x has {C} channels, params have {p.channels}")
 
     if direction is ScanDirection.BACKWARD:
         return flip(scan(flip(x, 0), p, ScanDirection.FORWARD), 0)
 
-    y, hs, lam = _scan_forward_raw(x.data, p.A.data, p.B.data, p.C_mat.data, p.D.data)
-    out = Tensor(y)
-    a_open = (p.A.data < 0.0).astype(np.float64)   # d lam / d a, zero where clamped
+    a, b, c = p.A.data, p.B.data, p.C_mat.data
+    lam = np.exp(np.minimum(a, 0.0))                        # [C, n]
+    k = np.arange(T)
+    powers = lam[None] ** k[:, None, None]                  # [T, C, n]: lam^k
+    kernel = np.einsum("kcn,cn->kc", powers, b * c)         # [T, C]: K[k, c]
+    kernel[0] += p.D.data
+    lags = _lags(T)
+    conv = np.tensordot(kernel, lags, axes=(0, 0))          # [C, T, T]: K[t - s, c]
+    xc = x.data.transpose(1, 0, 2)                          # [C, T, L]
+    out = Tensor((conv @ xc).transpose(1, 0, 2))
+    a_open = (a < 0.0).astype(np.float64)   # d lam / d a = lam, zero where clamped
 
     def back(g):
-        b_, c_, d_ = p.B.data, p.C_mat.data, p.D.data
-        gh = np.zeros((C, L, p.n))
-        gx = np.empty_like(x.data)
-        gb = np.zeros_like(b_)
-        gc = np.zeros_like(c_)
-        glam = np.zeros_like(lam)
-        gd = np.zeros(C)
-        for t in range(T - 1, -1, -1):
-            gy = g[t]                                        # [C, L]
-            gc += np.einsum("cl,cln->cn", gy, hs[t])
-            gd += np.einsum("cl,cl->c", gy, x.data[t])
-            gh = gh + gy[:, :, None] * c_[:, None, :]
-            h_prev = hs[t - 1] if t > 0 else np.zeros_like(hs[0])
-            glam += np.einsum("cln,cln->cn", gh, h_prev)
-            gb += np.einsum("cln,cl->cn", gh, x.data[t])
-            gx[t] = np.einsum("cln,cn->cl", gh, b_) + gy * d_[:, None]
-            gh = gh * lam[:, None, :]
-        accumulate(x, gx)
-        accumulate(p.A, glam * lam * a_open)
-        accumulate(p.B, gb)
-        accumulate(p.C_mat, gc)
-        accumulate(p.D, gd)
+        gc = g.transpose(1, 0, 2)                           # [C, T, L]
+        gx = conv.transpose(0, 2, 1) @ gc                   # anti-causal correlation
+        gk = np.tensordot(lags, gc @ xc.transpose(0, 2, 1), axes=([1, 2], [1, 2]))
+        q = np.einsum("kc,kcn->cn", gk, powers)             # sum_k gK[k] lam^k
+        r = np.einsum("kc,kcn->cn", gk * k[:, None], powers)  # sum_k gK[k] k lam^k
+        accumulate(x, gx.transpose(1, 0, 2))
+        accumulate(p.A, b * c * r * a_open)
+        accumulate(p.B, c * q)
+        accumulate(p.C_mat, b * q)
+        accumulate(p.D, gk[0])
 
     return record("ssm_scan", (x, p.A, p.B, p.C_mat, p.D), out, back)
-
-
-def apply_update(p: SsmParams, grads: Dict[str, np.ndarray], lr: float) -> SsmParams:
-    """Plain gradient step on A, B, C_mat, D; the unit vectors are untouched."""
-    updated = {}
-    for name, t in p.tensors().items():
-        if name not in grads or grads[name] is None:
-            raise ArgumentError(f"apply_update: missing gradient for {name}")
-        g = np.asarray(grads[name])
-        if g.shape != t.shape:
-            raise DimensionError(f"apply_update: grad {name} has shape {g.shape}, "
-                                 f"param has {t.shape}")
-        updated[name] = param(t.data - lr * g)
-    return SsmParams(A=updated["A"], B=updated["B"], C_mat=updated["C_mat"],
-                     D=updated["D"], n=p.n, d_state=p.d_state, d_dim=p.d_dim)

@@ -12,6 +12,7 @@ channel vector over trailing spatial axes (``scale_channels``).
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -74,11 +75,15 @@ class Tensor:
         return scale(self, float(other))
 
 
-def param(data, rng: Optional[np.random.Generator] = None, scale_: float = 1.0) -> Tensor:
-    """Create a trainable leaf tensor. With ``rng``, ``data`` is a shape to sample."""
-    if rng is not None:
-        data = rng.uniform(-scale_, scale_, size=data)
+def param(data) -> Tensor:
+    """Create a trainable leaf tensor."""
     return Tensor(data, requires_grad=True)
+
+
+def glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> Tensor:
+    """Trainable tensor drawn uniformly in +-sqrt(6 / (fan_in + fan_out))."""
+    limit = math.sqrt(6.0 / (fan_in + fan_out))
+    return param(rng.uniform(-limit, limit, size=shape))
 
 
 class Node:

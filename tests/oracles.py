@@ -249,19 +249,15 @@ def block_ref(x, p, grid=3, single_direction=False, local_only=False):
     z = gelu_ref(z)
     seq = z.T.reshape(t, group, spatial)
 
-    a_f = p.ssm_forward.A.data[:group]
-    b_f = p.ssm_forward.B.data[:group]
-    c_f = p.ssm_forward.C_mat.data[:group]
-    d_f = p.ssm_forward.D.data[:group]
+    a_f = p.ssm.A.data[:group]
+    b_f = p.ssm.B.data[:group]
+    c_f = p.ssm.C_mat.data[:group]
+    d_f = p.ssm.D.data[:group]
     local = scan_unrolled(seq, a_f, b_f, c_f, d_f).reshape(c, h, w)
     local = avg_pool2d_loops(local, 3, 1, pad=1)
     local = channel_linear_ref(local, p.local_w.data, p.local_b.data)
 
-    a_b = p.ssm_backward.A.data[:group]
-    b_b = p.ssm_backward.B.data[:group]
-    c_b = p.ssm_backward.C_mat.data[:group]
-    d_b = p.ssm_backward.D.data[:group]
-    glob = scan_unrolled(seq, a_b, b_b, c_b, d_b,
+    glob = scan_unrolled(seq, p.A_bwd.data, b_f, c_f, p.D_bwd.data,
                          backward=not single_direction).reshape(c, h, w)
     if local_only:
         glob = avg_pool2d_loops(glob, 3, 1, pad=1)
@@ -270,8 +266,7 @@ def block_ref(x, p, grid=3, single_direction=False, local_only=False):
         glob = expand_bins2d_enum(adaptive_pool2d_enum(glob, gh, gw), h, w)
     glob = channel_linear_ref(glob, p.global_w.data, p.global_b.data)
 
-    gate = gate_ref(p.ssm_forward.A.data, p.ssm_forward.B.data,
-                    p.ssm_forward.C_mat.data, p.ssm_forward.D.data)
+    gate = gate_ref(p.ssm.A.data, p.ssm.B.data, p.ssm.C_mat.data, p.ssm.D.data)
     merged = (local + glob) * gate[:, None, None]
     projected = channel_linear_ref(merged, p.out_w.data, p.out_b.data)
     return x + float(p.gamma.data.reshape(-1)[0]) * projected

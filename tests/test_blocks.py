@@ -115,8 +115,7 @@ class TestDualPathBlock:
             wt.data = eye.copy()
         for bt in (p.local_b, p.global_b, p.out_b):
             bt.data = np.zeros(c)
-        for tensor in (p.ssm_forward.A, p.ssm_forward.B, p.ssm_forward.C_mat,
-                       p.ssm_backward.A, p.ssm_backward.D, p.ssm_forward.D):
+        for tensor in (p.ssm.A, p.ssm.B, p.ssm.C_mat, p.A_bwd, p.D_bwd, p.ssm.D):
             tensor.data = np.zeros_like(tensor.data)
         p.gamma.data = np.array(0.8)
         x = Tensor(rng.normal(size=(c, h, w)))
@@ -169,10 +168,16 @@ class TestDualPathBlock:
         npt.assert_array_equal(x.grad, probe.data)
 
     def test_shared_state_tensors_between_directions(self):
-        p = self._block(np.random.default_rng(12))
-        assert p.ssm_forward.B is p.ssm_backward.B
-        assert p.ssm_forward.C_mat is p.ssm_backward.C_mat
-        assert p.ssm_forward.A is not p.ssm_backward.A
+        # one C-row set: forward A/D plus the B/C both scans read; the
+        # backward scan adds only A/D for the C/T rows of one frame group
+        c, t, n = 8, 2, 3
+        p = self._block(np.random.default_rng(12), c=c, t=t, n=n)
+        assert p.ssm.channels == c
+        assert p.A_bwd.shape == (c // t, n) and p.D_bwd.shape == (c // t,)
+        names = p.tensors()
+        assert names["ssm.B"] is p.ssm.B and names["ssm.C"] is p.ssm.C_mat
+        assert names["ssm.A_bwd"] is p.A_bwd and names["ssm.D_bwd"] is p.D_bwd
+        assert names["ssm.A_fwd"] is p.ssm.A and names["ssm.D_fwd"] is p.ssm.D
 
     def test_channels_not_divisible_rejected(self):
         rng = np.random.default_rng(13)

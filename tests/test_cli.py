@@ -4,7 +4,8 @@ import pytest
 
 from mmtl.cli import main
 from mmtl.data import load_sample_dir
-from mmtl.config import ModelConfig
+from mmtl.config import ModelConfig, load_config
+from mmtl.model import Model
 
 TOY_CONFIG = """\
 frame_count=4
@@ -71,6 +72,14 @@ class TestBenchCli:
 
     def test_bad_duration_is_usage_error(self, toy_config):
         assert main(["bench", "--config", toy_config, "--duration", "-1"]) == 2
+
+    def test_truncated_weight_file_exits_1(self, toy_config, tmp_path, capsys):
+        wdir = tmp_path / "weights"
+        Model(load_config(toy_config)).save_weights(wdir)
+        (wdir / "head_der.b.t3tn").write_bytes(b"T3TN")
+        assert main(["bench", "--config", toy_config, "--duration", "0.1",
+                     "--weights", str(wdir)]) == 1
+        assert "truncated" in capsys.readouterr().err
 
 
 class TestGenData:

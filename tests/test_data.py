@@ -5,6 +5,8 @@ the on-disk sample layout.
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mmtl.config import ModelConfig, parse_config
 from mmtl.data import SyntheticRecipe, augment, \
@@ -46,6 +48,21 @@ class TestSerialization:
         (tmp_path / "short.t3jt").write_bytes(payload)
         with pytest.raises(InputError, match="payload"):
             load_joints(tmp_path / "short.t3jt")
+
+    @given(st.lists(st.integers(0, 3), max_size=3), st.integers(0, 3), st.integers(0, 3))
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_truncated_files_raise_input_error(self, tmp_path, dims, t, j):
+        dump_tensor(Tensor(np.ones(dims)), tmp_path / "x.t3tn")
+        dump_joints(np.ones((t, j, 3)), tmp_path / "j.t3jt")
+        for path, load in ((tmp_path / "x.t3tn", load_tensor),
+                           (tmp_path / "j.t3jt", load_joints)):
+            raw = path.read_bytes()
+            load(path)
+            for cut in range(len(raw)):
+                path.write_bytes(raw[:cut])
+                with pytest.raises(InputError):
+                    load(path)
 
 
 class TestGenerator:

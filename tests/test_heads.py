@@ -203,6 +203,22 @@ class TestSgd:
         with pytest.raises(TrainingDiverged, match="w"):
             sgd_step(state, {"w": w})
 
+    def test_rejected_step_changes_nothing(self):
+        state = OptimizerState(base_lr=0.1)
+        a, b = param(np.array([1.0])), param(np.array([2.0]))
+        a.grad, b.grad = np.array([1.0]), np.array([1.0])
+        sgd_step(state, {"a": a, "b": b})
+        before = (a.data.copy(), b.data.copy(),
+                  {k: v.copy() for k, v in state.velocity.items()})
+        a.grad, b.grad = np.array([1.0]), np.array([np.nan])
+        with pytest.raises(TrainingDiverged, match="'b'"):
+            sgd_step(state, {"a": a, "b": b})
+        npt.assert_array_equal(a.data, before[0])
+        npt.assert_array_equal(b.data, before[1])
+        assert state.velocity.keys() == before[2].keys()
+        for k, v in state.velocity.items():
+            npt.assert_array_equal(v, before[2][k])
+
     def test_schedule(self):
         assert lr_for_epoch(0, 1e-3) == 1e-3
         assert lr_for_epoch(24, 1e-3) == 1e-3

@@ -16,6 +16,8 @@ from mmtl.config import ModelConfig
 from mmtl.data import SyntheticRecipe, generate_synthetic
 from mmtl.errors import ConfigError
 from mmtl.model import Model, count_params
+from mmtl.optim import OptimizerState, sgd_step
+from mmtl.tensor import Tape, backward
 from mmtl.train import batch_loss, evaluate, run_toy_training
 
 TOY = ModelConfig(frame_count=4, channels=24, height=3, width=3, view_height=10,
@@ -28,6 +30,15 @@ needs_fork = pytest.mark.skipif(
 
 def toy_samples(n, seed=0, cfg=TOY):
     return list(generate_synthetic(RECIPE, n, seed, cfg))
+
+
+def with_random_heads(model, seed=4):
+    """Heads start at zero, which zeroes every gradient behind them."""
+    rng = np.random.default_rng(seed)
+    for name, p in model.parameters().items():
+        if name.startswith("head_"):
+            p.data = rng.normal(size=p.shape)
+    return model
 
 
 class TestForward:
@@ -92,7 +103,8 @@ class TestParamCount:
         stem = 3 * (3 * t * 9 + 3 * t                      # depthwise w + b
                     + t * (c // (3 * t)) * 3 + c // 3)     # pointwise w + b
         block = (spatial * spatial * 3 + spatial           # channel conv1d
-                 + 2 * (c * n + c) + 2 * c * n             # A/D per path, shared B/C
+                 + (c * n + c) + 2 * c * n                 # forward A/D, shared B/C
+                 + (c // t) * (n + 1)                      # backward A/D, one frame group
                  + 3 * (c * c + c)                         # local/global/out linears
                  + 1)                                      # gamma
         joints = (16 * 27 + 16) + (32 * 16 * 27 + 32) + 2 * 32 + (128 * c + c)
@@ -100,7 +112,18 @@ class TestParamCount:
         heads = 4 * (c * 4 + 4)
         expected = 2 * (stem + cfg.block_depth * block) + joints + fusion + heads
         total, _ = count_params(cfg)
-        assert total == expected
+        assert total == expected == 918_772
+
+    def test_every_backward_scan_row_trains(self):
+        model = with_random_heads(Model(TOY))
+        group = TOY.channels // TOY.frame_count
+        with Tape() as tape:
+            loss, _ = batch_loss(model, toy_samples(2), train=True)
+        backward(tape, loss)
+        for name, p in model.parameters().items():
+            if name.endswith(("ssm.A_bwd", "ssm.D_bwd")):
+                assert p.shape[0] == group, name
+                assert np.all(p.grad.reshape(group, -1).any(axis=1)), name
 
     def test_fixed_unit_vectors_excluded(self):
         model = Model(TOY)
@@ -164,6 +187,28 @@ class TestWeights:
         want = model.forward_sample(s).logits["der"].data
         got = other.forward_sample(s).logits["der"].data
         npt.assert_allclose(got, want, atol=1e-4)
+
+    def test_trained_roundtrip_restores_eval_logits(self, tmp_path):
+        # train-mode forwards move the batch-norm running stats that eval
+        # mode reads; the checkpoint must carry them, not only parameters
+        model = with_random_heads(Model(TOY))
+        opt = OptimizerState(base_lr=0.05)
+        batch = toy_samples(4)
+        for _ in range(3):
+            model.zero_grad()
+            with Tape() as tape:
+                loss, _ = batch_loss(model, batch, train=True)
+            backward(tape, loss)
+            sgd_step(opt, model.parameters())
+        model.save_weights(tmp_path / "w")
+        other = Model(TOY.replace(seed=99))
+        other.load_weights(tmp_path / "w")
+        for s in toy_samples(2, seed=1):
+            want = model.forward_sample(s).logits
+            got = other.forward_sample(s).logits
+            for task, lg in want.items():
+                gap = np.abs(got[task].data - lg.data).max()
+                assert gap <= 1e-5 * (1.0 + np.abs(lg.data).max()), task
 
 
 class TestTrainingLoop:

@@ -1,4 +1,4 @@
-"""Scan recurrence, channel gate, and the parameter update step."""
+"""Scan recurrence and channel gate."""
 
 import math
 
@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmtl.errors import ArgumentError, DimensionError
+from mmtl.errors import DimensionError
 from mmtl.gradcheck import assert_gradients_close
-from mmtl.ssm import ScanDirection, SsmParams, apply_update, compute_gate, \
-    init_ssm_params, scan, unit_vector
+from mmtl.ssm import ScanDirection, SsmParams, compute_gate, init_ssm_params, scan, \
+    unit_vector
 from mmtl.tensor import Tape, Tensor, backward, param, tsum
 
 import oracles
@@ -132,11 +132,6 @@ class TestScan:
         rhs = al * scan(Tensor(x1), p).data + be * scan(Tensor(x2), p).data
         assert np.abs(lhs - rhs).max() < 1e-10
 
-    def test_frame_count_mismatch(self):
-        p = init_ssm_params(2, 2, np.random.default_rng(5))
-        with pytest.raises(DimensionError):
-            scan(Tensor(np.zeros((3, 2, 2))), p, frame_count=4)
-
     def test_channel_mismatch(self):
         p = init_ssm_params(2, 2, np.random.default_rng(6))
         with pytest.raises(DimensionError):
@@ -151,6 +146,19 @@ class TestScan:
                                    {"x": x, **p.tensors()})
         assert_gradients_close(lambda: tsum(compute_gate(p)), p.tensors())
 
+    def test_clamped_transition_gets_zero_gradient(self):
+        rng = np.random.default_rng(13)
+        p = init_ssm_params(3, 2, rng)
+        p.A.data[1, 0] = 0.5
+        x = Tensor(rng.normal(size=(5, 3, 4)))
+        for direction in (ScanDirection.FORWARD, ScanDirection.BACKWARD):
+            p.A.grad = None
+            with Tape() as tape:
+                loss = tsum(scan(x, p, direction))
+            backward(tape, loss)
+            assert p.A.grad[1, 0] == 0.0
+            assert np.count_nonzero(p.A.grad) == p.A.size - 1
+
     def test_restrict_routes_gradients_to_leading_rows(self):
         rng = np.random.default_rng(8)
         p = init_ssm_params(6, 2, rng)
@@ -161,37 +169,3 @@ class TestScan:
         assert np.any(p.B.grad[:2] != 0)
         assert np.all(p.B.grad[2:] == 0)
 
-
-class TestApplyUpdate:
-    def test_zero_gradient_keeps_params(self):
-        p = init_ssm_params(2, 2, np.random.default_rng(9))
-        grads = {k: np.zeros_like(v.data) for k, v in p.tensors().items()}
-        q = apply_update(p, grads, lr=0.5)
-        for k, v in p.tensors().items():
-            npt.assert_array_equal(q.tensors()[k].data, v.data)
-
-    def test_zero_lr_keeps_params(self):
-        p = init_ssm_params(2, 2, np.random.default_rng(10))
-        grads = {k: np.ones_like(v.data) for k, v in p.tensors().items()}
-        q = apply_update(p, grads, lr=0.0)
-        for k, v in p.tensors().items():
-            npt.assert_array_equal(q.tensors()[k].data, v.data)
-
-    def test_single_entry_step(self):
-        p = make_params(np.zeros((1, 1)), np.array([[1.0]]), np.zeros((1, 1)),
-                        np.zeros(1), 1)
-        grads = {"A": np.zeros((1, 1)), "B": np.array([[2.0]]),
-                 "C_mat": np.zeros((1, 1)), "D": np.zeros(1)}
-        q = apply_update(p, grads, lr=0.1)
-        npt.assert_allclose(q.B.data, [[0.8]])
-
-    def test_unit_vectors_untouched(self):
-        p = init_ssm_params(2, 2, np.random.default_rng(11))
-        grads = {k: np.ones_like(v.data) for k, v in p.tensors().items()}
-        q = apply_update(p, grads, lr=0.1)
-        assert q.d_state is p.d_state and q.d_dim is p.d_dim
-
-    def test_missing_grad_rejected(self):
-        p = init_ssm_params(2, 2, np.random.default_rng(12))
-        with pytest.raises(ArgumentError, match="B"):
-            apply_update(p, {"A": np.zeros((2, 2))}, lr=0.1)
