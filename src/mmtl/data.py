@@ -56,15 +56,6 @@ class SampleBundle:
                 return v
         raise InputError(f"no view '{view_id}' in sample")
 
-    def modality_arrays(self, modality: str) -> List[np.ndarray]:
-        if modality == "exterior":
-            return [v.frames for v in self.exterior]
-        if modality == "interior":
-            return [v.frames for v in self.interior]
-        if modality == "joints":
-            return [self.joints.joints]
-        raise ArgumentError(f"unknown modality '{modality}'")
-
 
 @dataclass
 class SyntheticRecipe:

@@ -160,10 +160,6 @@ class Model:
                   for i, spec in enumerate(self.task_specs)}
         return ForwardResult(logits=logits, telemetry=telemetry)
 
-    def predict(self, bundle: SampleBundle) -> Dict[str, int]:
-        result = self.forward_sample(bundle, train=False)
-        return {task: int(np.argmax(lg.data)) for task, lg in result.logits.items()}
-
     # -- weight dump / load --------------------------------------------------
 
     def _running_stats(self) -> Dict[str, RunningStats]:

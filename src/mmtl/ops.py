@@ -5,15 +5,19 @@ Layout convention is channels-first with no batch axis: a feature map is
 [C, H, W], a volume is [C, D, H, W], a sequence is [C, L]. Convolutions use
 the cross-correlation convention (no kernel flip) and zero padding; output
 spatial size is floor((in + 2*pad - k)/stride) + 1.
+
+The windowed ops (convolve, depthwise_conv2d, avg_pool) share one im2col
+pair: ``_windows`` builds columns [C, k, *out], one contiguous copy per
+kernel offset, and ``_unwindow`` is its adjoint for the backward pass.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 from .errors import ArgumentError, DimensionError
@@ -65,21 +69,45 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 # convolutions
 # ---------------------------------------------------------------------------
 
-def _pad_spatial(x: np.ndarray, pad: tuple) -> np.ndarray:
-    if not any(pad):
-        return x
-    widths = [(0, 0)] + [(p, p) for p in pad]
-    return np.pad(x, widths)
+@functools.lru_cache(maxsize=256)
+def _window_layout(shape: tuple, kernel: tuple, stride: tuple, pad: tuple):
+    """For x of ``shape`` [C, *sp]: the zero-padded buffer's shape, the slice
+    of it that holds x, the output size, and for each kernel offset (row-major)
+    the slice of the buffer that it reads at every output position."""
+    padded = (shape[0],) + tuple(s + 2 * p for s, p in zip(shape[1:], pad))
+    inner = (slice(None),) + tuple(slice(p, p + s) for p, s in zip(pad, shape[1:]))
+    out_sp = tuple((n - k) // st + 1 for n, k, st in zip(padded[1:], kernel, stride))
+    offsets = tuple((slice(None),) + tuple(slice(o, o + st * (n - 1) + 1, st)
+                                           for o, st, n in zip(koff, stride, out_sp))
+                    for koff in np.ndindex(*kernel))
+    return padded, inner, out_sp, offsets
 
 
-def _conv_out_sizes(spatial, kernel, stride, pad, op: str):
-    out = []
-    for s, k, st, p in zip(spatial, kernel, stride, pad):
-        if k > s + 2 * p:
-            raise DimensionError(
-                f"{op}: kernel {kernel} larger than padded input {spatial} (pad {pad})")
-        out.append((s + 2 * p - k) // st + 1)
-    return tuple(out)
+def _windows(x: np.ndarray, kernel, stride, pad, op: str) -> np.ndarray:
+    """Im2col columns [C, k, *out] of x [C, *sp]: one copy per kernel offset,
+    so each column is contiguous over the output positions."""
+    if any(k > s + 2 * p for s, k, p in zip(x.shape[1:], kernel, pad)):
+        raise DimensionError(
+            f"{op}: kernel {kernel} larger than padded input {x.shape[1:]} (pad {pad})")
+    padded, inner, out_sp, offsets = _window_layout(x.shape, kernel, stride, pad)
+    xp = x
+    if any(pad):
+        xp = np.zeros(padded)
+        xp[inner] = x
+    cols = np.empty((x.shape[0], len(offsets)) + out_sp)
+    for j, sl in enumerate(offsets):
+        cols[:, j] = xp[sl]
+    return cols
+
+
+def _unwindow(dcols: np.ndarray, x_shape, kernel, stride, pad) -> np.ndarray:
+    """Adjoint of _windows: scatter-add columns [C, k, *out] onto the padded
+    buffer and strip the padding, giving [C, *sp]."""
+    padded, inner, _, offsets = _window_layout(x_shape, kernel, stride, pad)
+    dxp = np.zeros(padded)
+    for j, sl in enumerate(offsets):
+        dxp[sl] += dcols[:, j]
+    return dxp[inner]
 
 
 def convolve(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
@@ -94,17 +122,11 @@ def convolve(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     stride = _as_tuple(stride, nd)
     pad = _as_tuple(padding, nd)
     kernel = w.shape[2:]
-    out_sp = _conv_out_sizes(x.shape[1:], kernel, stride, pad, "convolve")
     cin, cout = x.shape[0], w.shape[0]
-    ksz = int(np.prod(kernel))
-    osz = int(np.prod(out_sp))
-
-    xp = _pad_spatial(x.data, pad)
-    win = sliding_window_view(xp, kernel, axis=tuple(range(1, nd + 1)))
-    win = win[(slice(None),) + tuple(slice(None, None, s) for s in stride)]
-    # [Cin, *out, *k] -> [Cin*k, out]
-    cols = win.reshape(cin, osz, ksz).transpose(0, 2, 1).reshape(cin * ksz, osz)
-    w2 = w.data.reshape(cout, cin * ksz)
+    cols = _windows(x.data, kernel, stride, pad, "convolve")  # [Cin, k, *out]
+    out_sp = cols.shape[2:]
+    cols = cols.reshape(cin * cols.shape[1], -1)
+    w2 = w.data.reshape(cout, -1)
     y = w2 @ cols
     if b is not None:
         if b.shape != (cout,):
@@ -113,19 +135,13 @@ def convolve(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     out = Tensor(y.reshape((cout,) + out_sp))
 
     def back(g):
-        g2 = g.reshape(cout, osz)
+        g2 = g.reshape(cout, -1)
         accumulate(w, (g2 @ cols.T).reshape(w.shape))
         if b is not None:
             accumulate(b, g2.sum(axis=1))
         if x.requires_grad:
-            dcols = (w2.T @ g2).reshape(cin, ksz, osz).reshape(cin, *kernel, *out_sp)
-            dxp = np.zeros_like(xp)
-            for koff in np.ndindex(*kernel):
-                sl = tuple(slice(o, o + st * n, st)
-                           for o, st, n in zip(koff, stride, out_sp))
-                dxp[(slice(None),) + sl] += dcols[(slice(None),) + koff]
-            unpad = tuple(slice(p, p + s) for p, s in zip(pad, x.shape[1:]))
-            accumulate(x, dxp[(slice(None),) + unpad])
+            dcols = (w2.T @ g2).reshape((cin, -1) + out_sp)
+            accumulate(x, _unwindow(dcols, x.shape, kernel, stride, pad))
 
     ins = (x, w) if b is None else (x, w, b)
     return record("convolve", ins, out, back)
@@ -141,16 +157,11 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     pad = _as_tuple(padding, 2)
     c, m = w.shape[0], w.shape[1]
     kernel = w.shape[2:]
-    out_sp = _conv_out_sizes(x.shape[1:], kernel, stride, pad, "depthwise_conv2d")
-    ksz = int(np.prod(kernel))
-    osz = int(np.prod(out_sp))
-
-    xp = _pad_spatial(x.data, pad)
-    win = sliding_window_view(xp, kernel, axis=(1, 2))
-    win = win[:, ::stride[0], ::stride[1]]
-    cols = win.reshape(c, osz, ksz)                      # [C, out, k]
-    w2 = w.data.reshape(c, m, ksz)                       # [C, M, k]
-    y = np.einsum("cmk,cok->cmo", w2, cols)              # [C, M, out]
+    cols = _windows(x.data, kernel, stride, pad, "depthwise_conv2d")
+    out_sp = cols.shape[2:]
+    cols = cols.reshape(c, cols.shape[1], -1)
+    w2 = w.data.reshape(c, m, -1)
+    y = np.matmul(w2, cols)                              # [C, M, out]
     if b is not None:
         if b.shape != (c * m,):
             raise DimensionError(f"depthwise_conv2d: bias {b.shape} vs {c * m} channels")
@@ -158,20 +169,13 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     out = Tensor(y.reshape((c * m,) + out_sp))
 
     def back(g):
-        g3 = g.reshape(c, m, osz)
-        accumulate(w, np.einsum("cmo,cok->cmk", g3, cols).reshape(w.shape))
+        g3 = g.reshape(c, m, -1)
+        accumulate(w, np.matmul(g3, cols.transpose(0, 2, 1)).reshape(w.shape))
         if b is not None:
             accumulate(b, g3.sum(axis=2).reshape(-1))
         if x.requires_grad:
-            dcols = np.einsum("cmo,cmk->cok", g3, w2).reshape(c, *out_sp, *kernel)
-            dxp = np.zeros_like(xp)
-            for ki in range(kernel[0]):
-                for kj in range(kernel[1]):
-                    sl = (slice(None),
-                          slice(ki, ki + stride[0] * out_sp[0], stride[0]),
-                          slice(kj, kj + stride[1] * out_sp[1], stride[1]))
-                    dxp[sl] += dcols[:, :, :, ki, kj]
-            accumulate(x, dxp[:, pad[0]:pad[0] + x.shape[1], pad[1]:pad[1] + x.shape[2]])
+            dcols = np.matmul(w2.transpose(0, 2, 1), g3).reshape((c, -1) + out_sp)
+            accumulate(x, _unwindow(dcols, x.shape, kernel, stride, pad))
 
     ins = (x, w) if b is None else (x, w, b)
     return record("depthwise_conv2d", ins, out, back)
@@ -219,23 +223,13 @@ def avg_pool(x: Tensor, window, stride=None, padding=0) -> Tensor:
         raise ArgumentError(f"avg_pool: window must be positive, got {window}")
     stride = window if stride is None else _as_tuple(stride, nd)
     pad = _as_tuple(padding, nd)
-    out_sp = _conv_out_sizes(x.shape[1:], window, stride, pad, "avg_pool")
-    inv = 1.0 / float(np.prod(window))
-
-    xp = _pad_spatial(x.data, pad)
-    win = sliding_window_view(xp, window, axis=tuple(range(1, nd + 1)))
-    win = win[(slice(None),) + tuple(slice(None, None, s) for s in stride)]
-    out = Tensor(win.mean(axis=tuple(range(1 + nd, 1 + 2 * nd))))
+    cols = _windows(x.data, window, stride, pad, "avg_pool")
+    ksz = cols.shape[1]
+    out = Tensor(cols.mean(axis=1))
 
     def back(g):
-        dxp = np.zeros_like(xp)
-        gi = g * inv
-        for koff in np.ndindex(*window):
-            sl = tuple(slice(o, o + st * n, st)
-                       for o, st, n in zip(koff, stride, out_sp))
-            dxp[(slice(None),) + sl] += gi
-        unpad = tuple(slice(p, p + s) for p, s in zip(pad, x.shape[1:]))
-        accumulate(x, dxp[(slice(None),) + unpad])
+        dcols = np.broadcast_to((g / ksz)[:, None], (g.shape[0], ksz) + g.shape[1:])
+        accumulate(x, _unwindow(dcols, x.shape, window, stride, pad))
 
     return record("avg_pool", (x,), out, back)
 

@@ -2,8 +2,8 @@
 
 Tensors are immutable values: operations return fresh tensors and never
 write into their inputs, so concurrent reads are always safe. Gradient
-recording happens only while a Tape is active (``with Tape() as tape:``);
-without one, every operation is pure inference.
+recording happens only while a Tape is active (``with Tape() as tape:``)
+in the calling thread; without one, every operation is pure inference.
 
 Broadcasting is deliberately minimal: same-shape elementwise ops, scalar
 times tensor, a bias over the last axis (inside ``ops.linear``), and a
@@ -13,6 +13,7 @@ channel vector over trailing spatial axes (``scale_channels``).
 from __future__ import annotations
 
 import math
+import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -46,9 +47,6 @@ class Tensor:
         if self.data.size != 1:
             raise ArgumentError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -104,30 +102,35 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self._outer: Optional[Tape] = None
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        self._outer = _TAPES.active
+        _TAPES.active = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _TAPE_STACK.pop()
-        assert popped is self
+        assert _TAPES.active is self
+        _TAPES.active = self._outer
 
     def __len__(self) -> int:
         return len(self.nodes)
 
 
-_TAPE_STACK: list[Tape] = []
+class _ThreadTapes(threading.local):
+    """The innermost open tape of the current thread; each thread starts with
+    none, so a tape records only the ops of the thread that opened it."""
+
+    active: Optional[Tape] = None
 
 
-def active_tape() -> Optional[Tape]:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+_TAPES = _ThreadTapes()
 
 
 def record(op: str, inputs: Sequence[Tensor], output: Tensor,
            backward: Callable[[np.ndarray], None]) -> Tensor:
     """Register a node on the active tape when gradients are being tracked."""
-    tape = active_tape()
+    tape = _TAPES.active
     if tape is not None and any(t.requires_grad for t in inputs):
         output.requires_grad = True
         tape.nodes.append(Node(op, inputs, output, backward))

@@ -74,10 +74,37 @@ def _check_tensor_core(rng, tol, max_elements):
         lambda: tsum(ops.depthwise_conv2d(xd, wd, padding=1)),
         {"x": xd, "w": wd}).items()})
 
+    xs = param(rng.normal(size=(5, 9, 8)))
+    ws = param(rng.normal(size=(5, 2, 3, 2)))
+    ps = rng.normal(size=(10, 5, 5))
+    errors.update({f"depthwise_s2.{k}": v for k, v in check_gradients(
+        lambda: _weighted_sum(ops.depthwise_conv2d(xs, ws, stride=2, padding=1), ps),
+        {"x": xs, "w": ws}).items()})
+
+    x1 = param(rng.normal(size=(16, 24)))          # the block's [L, C] layout
+    w1 = param(rng.normal(size=(16, 16, 3)))
+    p1 = rng.normal(size=(16, 24))
+    errors.update({f"conv1d.{k}": v for k, v in check_gradients(
+        lambda: _weighted_sum(ops.convolve(x1, w1, padding=1), p1),
+        {"x": x1, "w": w1}).items()})
+
+    x3 = param(rng.normal(size=(1, 16, 17, 3)))    # the joints' [1, T, J, 3] volume
+    w3 = param(rng.normal(size=(2, 1, 3, 3, 3)))
+    p3 = rng.normal(size=(2, 8, 8, 3))
+    errors.update({f"conv3d_pool.{k}": v for k, v in check_gradients(
+        lambda: _weighted_sum(ops.avg_pool(ops.convolve(x3, w3, padding=1), (2, 2, 1),
+                                           stride=(2, 2, 1)), p3),
+        {"x": x3, "w": w3}).items()})
+
     xp = param(rng.normal(size=(2, 6, 6)))
     errors.update({f"pool.{k}": v for k, v in check_gradients(
         lambda: tsum(ops.adaptive_avg_pool(ops.avg_pool(xp, 3, stride=1, padding=1),
                                            (2, 2))), {"x": xp}).items()})
+    xq = param(rng.normal(size=(2, 9, 7)))
+    pq = rng.normal(size=(2, 5, 4))
+    errors.update({f"pool_s2.{k}": v for k, v in check_gradients(
+        lambda: _weighted_sum(ops.avg_pool(xq, 3, stride=2, padding=1), pq),
+        {"x": xq}).items()})
 
     xa = param(rng.normal(size=(2, 5)))
     errors.update({f"activations.{k}": v for k, v in check_gradients(

@@ -122,6 +122,21 @@ def avg_pool2d_loops(x, k, stride, pad=0):
     return out
 
 
+def avg_pool_loops(x, window, stride, pad=0):
+    """Any number of spatial axes; per-axis window and stride tuples."""
+    c = x.shape[0]
+    xp = np.pad(x, [(0, 0)] + [(pad, pad)] * (x.ndim - 1))
+    out_sp = tuple((n - k) // s + 1 for n, k, s in zip(xp.shape[1:], window, stride))
+    out = np.zeros((c,) + out_sp)
+    for ci in range(c):
+        for pos in np.ndindex(*out_sp):
+            acc = 0.0
+            for off in np.ndindex(*window):
+                acc += xp[(ci,) + tuple(p * s + o for p, s, o in zip(pos, stride, off))]
+            out[(ci,) + pos] = acc / np.prod(window)
+    return out
+
+
 def adaptive_bins(length, target):
     return [(math.ceil(i * length / target), math.ceil((i + 1) * length / target))
             for i in range(target)]

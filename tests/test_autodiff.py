@@ -2,6 +2,8 @@
 primitive, and tape error handling.
 """
 
+import threading
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -58,6 +60,27 @@ class TestBackwardBasics:
             loss = tsum(x)
         backward(tape, loss)
         assert len(tape) == 0
+
+    def test_tape_records_only_its_own_thread(self):
+        x = param(np.ones(2))
+        other = {}
+
+        def worker():
+            other["outside"] = add(x, x)
+            with Tape() as inner:
+                other["inside"] = mul(x, x)
+            other["inner_ops"] = [n.op for n in inner.nodes]
+
+        with Tape() as tape:
+            y = add(x, x)
+            t = threading.Thread(target=worker)
+            t.start()
+            t.join()
+        assert [n.op for n in tape.nodes] == ["add"]
+        assert tape.nodes[0].output is y
+        assert other["outside"].requires_grad is False
+        assert other["inner_ops"] == ["mul"]
+        assert other["inside"].requires_grad is True
 
     def test_no_recording_without_tape(self):
         x = param(np.ones(2))

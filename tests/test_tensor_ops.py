@@ -90,6 +90,34 @@ class TestConvolve:
         ref = oracles.depthwise2d_loops(x, w, b, pad=1)
         assert np.abs(got - ref).max() < 1e-12
 
+    def test_depthwise_stride2_nonsquare_matches_loops(self):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(5, 9, 8))
+        w = rng.normal(size=(5, 2, 3, 2))
+        b = rng.normal(size=10)
+        got = ops.depthwise_conv2d(Tensor(x), Tensor(w), Tensor(b), stride=2,
+                                   padding=1).data
+        ref = oracles.depthwise2d_loops(x, w, b, stride=2, pad=1)
+        assert got.shape == ref.shape == (10, 5, 5)
+        assert np.abs(got - ref).max() < 1e-12
+
+    def test_conv1d_block_layout_matches_loops(self):
+        # dual_path_block: positions as channels, the C channels as the length
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(16, 24))
+        w = rng.normal(size=(16, 16, 3))
+        b = rng.normal(size=16)
+        got = ops.convolve(Tensor(x), Tensor(w), Tensor(b), padding=1).data
+        assert np.abs(got - oracles.conv1d_loops(x, w, b, pad=1)).max() < 1e-12
+
+    def test_conv3d_joint_shape_matches_loops(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(1, 16, 17, 3))
+        w = rng.normal(size=(2, 1, 3, 3, 3))
+        b = rng.normal(size=2)
+        got = ops.convolve(Tensor(x), Tensor(w), Tensor(b), padding=1).data
+        assert np.abs(got - oracles.conv3d_loops(x, w, b, pad=1)).max() < 1e-12
+
     def test_output_size_formula(self):
         x = Tensor(np.zeros((1, 9, 7)))
         w = Tensor(np.zeros((1, 1, 3, 3)))
@@ -129,6 +157,18 @@ class TestPooling:
         x = rng.normal(size=(2, 8, 8))
         got = ops.avg_pool(Tensor(x), 3, stride=2, padding=1).data
         assert np.abs(got - oracles.avg_pool2d_loops(x, 3, 2, pad=1)).max() < 1e-12
+
+    @pytest.mark.parametrize("shape,window,stride,pad", [
+        ((3, 9, 7, 3), (2, 2, 1), (2, 2, 1), 0),   # joints pooling, odd sizes
+        ((2, 9, 7), (3, 3), (2, 2), 1),
+    ])
+    def test_fixed_nd_matches_loops(self, shape, window, stride, pad):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=shape)
+        got = ops.avg_pool(Tensor(x), window, stride=stride, padding=pad).data
+        ref = oracles.avg_pool_loops(x, window, stride, pad=pad)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() < 1e-12
 
     def test_expand_bins_matches_enumeration(self):
         rng = np.random.default_rng(9)
