@@ -119,11 +119,7 @@ def stem(views: Sequence[ViewSequence], p: StemParams) -> Tensor:
     cat = concat(feats, axis=0)                  # layout [view][frame][cpf]
 
     # reorder to frame-major [frame][view][cpf] so frame groups are contiguous
-    perm = np.empty(p.out_channels, dtype=np.intp)
-    for ti in range(t):
-        for vi in range(v):
-            for j in range(cpf):
-                perm[ti * v * cpf + vi * cpf + j] = vi * t * cpf + ti * cpf + j
+    perm = np.arange(p.out_channels).reshape(v, t, cpf).transpose(1, 0, 2).reshape(-1)
     return take_channels(cat, perm)
 
 

@@ -5,6 +5,7 @@ parsed from flat ``key=value`` text with ``#`` comments.
 from __future__ import annotations
 
 import hashlib
+import dataclasses
 from dataclasses import dataclass, fields
 from typing import Tuple
 
@@ -99,9 +100,7 @@ class ModelConfig:
         return hashlib.sha1(self.to_text().encode()).hexdigest()[:12]
 
     def replace(self, **kw) -> "ModelConfig":
-        vals = {f.name: getattr(self, f.name) for f in fields(self)}
-        vals.update(kw)
-        return ModelConfig(**vals)
+        return dataclasses.replace(self, **kw)
 
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True,

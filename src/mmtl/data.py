@@ -158,8 +158,8 @@ def crop_resize(frames: np.ndarray, box: Tuple[int, int, int, int],
     return crop[:, :, rows][:, :, :, cols]
 
 
-def _interior_views(inside: np.ndarray, hv: int, wv: int) -> Tuple[ViewSequence, ...]:
-    face_box, body_box = default_boxes(inside.shape[2], inside.shape[3])
+def _interior_views(inside: np.ndarray, boxes, hv: int, wv: int) -> Tuple[ViewSequence, ...]:
+    face_box, body_box = boxes
     return (
         ViewSequence("inside", inside),
         ViewSequence("face", crop_resize(inside, face_box, hv, wv)),
@@ -184,52 +184,33 @@ def generate_synthetic(recipe: SyntheticRecipe, count: int, seed: int,
     decoy_labels = {task: rng.integers(0, cfg.num_classes(task), size=count)
                     for task in recipe.distractors}
 
-    contributions: Dict[str, List[Tuple[str, float]]] = {m: [] for m in MODALITIES}
-    for task in TASKS:
-        contributions[recipe.designated[task]].append((task, recipe.amplitude))
-    for task, (mod, frac) in recipe.echo.items():
-        contributions[mod].append((task, recipe.amplitude * frac))
-    decoy_contribs: Dict[str, List[Tuple[str, float]]] = {m: [] for m in MODALITIES}
-    for task, (mod, frac) in recipe.distractors.items():
-        decoy_contribs[mod].append((task, recipe.amplitude * frac))
-
-    def fit_range(field: np.ndarray) -> np.ndarray:
+    def planted(mod: str, i: int) -> np.ndarray:
+        acc = np.zeros((t, j, 3) if mod == "joints" else (t, 3, hv, wv))
+        for task, amp, tied in _modality_contributions(recipe, mod):
+            cls = int((labels if tied else decoy_labels)[task][i])
+            if mod == "joints":
+                acc += amp * joint_pattern(recipe, task, cls, t, j)
+            else:
+                acc += amp * view_pattern(recipe, task, cls, t, hv, wv)
         # shrink overlapping patterns into [0.5 +- 0.45] to avoid saturation
-        peak = np.abs(field).max()
-        if peak > 0.45:
-            field = field * (0.45 / peak)
-        return field
+        peak = np.abs(acc).max()
+        return acc * (0.45 / peak) if peak > 0.45 else acc
+
+    def noisy(base):
+        out = 0.5 + base
+        if recipe.noise > 0:
+            out = out + rng.normal(0.0, recipe.noise, size=base.shape)
+        return np.clip(out, 0.0, 1.0)
 
     for i in range(count):
-        fields_: Dict[str, np.ndarray] = {}
-        for mod in ("exterior", "interior"):
-            acc = np.zeros((t, 3, hv, wv))
-            for task, amp in contributions[mod]:
-                acc += amp * view_pattern(recipe, task, int(labels[task][i]), t, hv, wv)
-            for task, amp in decoy_contribs[mod]:
-                acc += amp * view_pattern(recipe, task, int(decoy_labels[task][i]),
-                                          t, hv, wv)
-            fields_[mod] = fit_range(acc)
-        jacc = np.zeros((t, j, 3))
-        for task, amp in contributions["joints"]:
-            jacc += amp * joint_pattern(recipe, task, int(labels[task][i]), t, j)
-        for task, amp in decoy_contribs["joints"]:
-            jacc += amp * joint_pattern(recipe, task, int(decoy_labels[task][i]), t, j)
-        jacc = fit_range(jacc)
-
-        def noisy(base):
-            out = 0.5 + base
-            if recipe.noise > 0:
-                out = out + rng.normal(0.0, recipe.noise, size=base.shape)
-            return np.clip(out, 0.0, 1.0)
-
+        fields_ = {mod: planted(mod, i) for mod in MODALITIES}
         exterior = tuple(ViewSequence(vid, noisy(fields_["exterior"]))
                          for vid in EXTERIOR_VIEWS)
         inside = noisy(fields_["interior"])
         yield SampleBundle(
             exterior=exterior,
-            interior=_interior_views(inside, hv, wv),
-            joints=JointSequence(noisy(jacc)),
+            interior=_interior_views(inside, default_boxes(hv, wv), hv, wv),
+            joints=JointSequence(noisy(fields_["joints"])),
             labels={task: int(labels[task][i]) for task in TASKS},
             sample_id=f"synth_{seed}_{i:05d}",
         )
@@ -353,6 +334,17 @@ def _resize_view(frames: np.ndarray, hv: int, wv: int) -> np.ndarray:
     return crop_resize(frames, (0, 0, frames.shape[3], frames.shape[2]), hv, wv)
 
 
+def _read_ints(text: str, count: int, what: str) -> Tuple[int, ...]:
+    """Exactly ``count`` whitespace-separated integers, else InputError."""
+    try:
+        values = tuple(int(v) for v in text.split())
+    except ValueError:
+        values = ()
+    if len(values) != count:
+        raise InputError(f"{what} needs {count} integers, got '{text.strip()}'")
+    return values
+
+
 def _load_one_sample(base: Path, cfg: ModelConfig) -> SampleBundle:
     hv, wv = cfg.view_height, cfg.view_width
     views = {}
@@ -372,10 +364,7 @@ def _load_one_sample(base: Path, cfg: ModelConfig) -> SampleBundle:
     lines = boxes_path.read_text().strip().splitlines()
     if len(lines) < 2:
         raise InputError(f"{base.name}: boxes.txt needs face and body lines")
-    face_box = tuple(int(v) for v in lines[0].split())
-    body_box = tuple(int(v) for v in lines[1].split())
-    if len(face_box) != 4 or len(body_box) != 4:
-        raise InputError(f"{base.name}: boxes must be four integers each")
+    boxes = tuple(_read_ints(line, 4, f"{base.name}: boxes.txt line") for line in lines[:2])
 
     joints_path = base / "joints.t3jt"
     if not joints_path.exists():
@@ -385,20 +374,16 @@ def _load_one_sample(base: Path, cfg: ModelConfig) -> SampleBundle:
     labels_path = base / "labels.txt"
     if not labels_path.exists():
         raise InputError(f"{base.name}: missing labels.txt")
-    raw = labels_path.read_text().split()
-    if len(raw) != 4:
-        raise InputError(f"{base.name}: labels.txt needs four integers")
-    labels = {task: int(v) for task, v in zip(TASKS, raw)}
+    raw = _read_ints(labels_path.read_text(), len(TASKS), f"{base.name}: labels.txt")
+    labels = dict(zip(TASKS, raw))
+    for task, label in labels.items():
+        if not 0 <= label < cfg.num_classes(task):
+            raise InputError(f"{base.name}: {task} label {label} not in "
+                             f"[0, {cfg.num_classes(task)})")
 
-    inside = views["inside"]
-    interior = (
-        ViewSequence("inside", inside),
-        ViewSequence("face", crop_resize(inside, face_box, hv, wv)),
-        ViewSequence("body", crop_resize(inside, body_box, hv, wv)),
-    )
     return SampleBundle(
         exterior=tuple(ViewSequence(v, views[v]) for v in EXTERIOR_VIEWS),
-        interior=interior,
+        interior=_interior_views(views["inside"], boxes, hv, wv),
         joints=JointSequence(joints),
         labels=labels,
         sample_id=base.name,

@@ -17,13 +17,14 @@ from typing import List, Tuple
 
 import numpy as np
 
+from .config import TASKS
 from .errors import ArgumentError, DimensionError
 from .ops import RunningStats, batchnorm, convolve, depthwise_conv2d, sigmoid, softmax
 from .tensor import Tensor, add, concat, glorot, matmul, mul, narrow, param, \
     reshape, scale, transpose
 
 NUM_MODALITIES = 3
-NUM_TASKS = 4
+NUM_TASKS = len(TASKS)
 
 
 @dataclass

@@ -9,11 +9,10 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from .config import TASKS
 from .errors import ArgumentError, InputError
 from .ops import adaptive_avg_pool, cross_entropy, linear
 from .tensor import Tensor, add, param, reshape
-
-TASKS = ("der", "dbr", "tcr", "vbr")
 
 
 @dataclass(frozen=True)

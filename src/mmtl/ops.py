@@ -6,9 +6,11 @@ Layout convention is channels-first with no batch axis: a feature map is
 the cross-correlation convention (no kernel flip) and zero padding; output
 spatial size is floor((in + 2*pad - k)/stride) + 1.
 
-The windowed ops (convolve, depthwise_conv2d, avg_pool) share one im2col
-pair: ``_windows`` builds columns [C, k, *out], one contiguous copy per
-kernel offset, and ``_unwindow`` is its adjoint for the backward pass.
+The convolutions share one im2col pair: ``_windows`` builds columns
+[C, k, *out], one contiguous copy per kernel offset, and ``_unwindow`` is its
+adjoint for the backward pass. Pooling (avg_pool, adaptive_avg_pool,
+expand_bins) is a fixed linear map along each spatial axis: one averaging
+matrix per axis, applied axis by axis, with the transposes in the backward.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, expit
 
 from .errors import ArgumentError, DimensionError
 from .tensor import Tensor, accumulate, record
@@ -211,6 +213,45 @@ def grouped_pointwise(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tenso
 # pooling
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=256)
+def _averaging_matrix(length: int, windows: tuple) -> np.ndarray:
+    """Read-only [out, length] map of one axis: row j averages the positions
+    [lo, hi) of windows[j] = (lo, hi, divisor); positions outside [0, length)
+    are zero padding."""
+    m = np.zeros((len(windows), length))
+    for j, (lo, hi, div) in enumerate(windows):
+        m[j, max(lo, 0):hi] = 1.0 / div
+    m.flags.writeable = False
+    return m
+
+
+def _bin_windows(length: int, target: int, divisor=None) -> tuple:
+    # bin j covers [ceil(j*L/t), ceil((j+1)*L/t)); e.g. 5 -> 2 gives {0,1,2},{3,4}
+    edges = [-(-(j * length) // target) for j in range(target + 1)]
+    return tuple((lo, hi, divisor or hi - lo) for lo, hi in zip(edges, edges[1:]))
+
+
+def _map_axes(y: np.ndarray, mats) -> np.ndarray:
+    """Multiply axis 1+i of y [C, *sp] by mats[i] [out, in]. Each step maps the
+    first spatial axis and moves it last (one matmul batched over C), so the
+    axes are back in order after the last matrix."""
+    c = y.shape[0]
+    for m in mats:
+        y = y.reshape(c, m.shape[1], -1).transpose(0, 2, 1) @ m.T
+    return y.reshape((c,) + tuple(m.shape[0] for m in mats))
+
+
+def _pool(x: Tensor, mats, name: str) -> Tensor:
+    """Record op ``name`` mapping x [C, *sp] axis by axis; the backward maps
+    the gradient by the transposed matrices."""
+    out = Tensor(_map_axes(x.data, mats))
+
+    def back(g):
+        accumulate(x, _map_axes(g, [m.T for m in mats]))
+
+    return record(name, (x,), out, back)
+
+
 def avg_pool(x: Tensor, window, stride=None, padding=0) -> Tensor:
     """Fixed-window average pooling over all axes after the channel axis.
 
@@ -223,79 +264,37 @@ def avg_pool(x: Tensor, window, stride=None, padding=0) -> Tensor:
         raise ArgumentError(f"avg_pool: window must be positive, got {window}")
     stride = window if stride is None else _as_tuple(stride, nd)
     pad = _as_tuple(padding, nd)
-    cols = _windows(x.data, window, stride, pad, "avg_pool")
-    ksz = cols.shape[1]
-    out = Tensor(cols.mean(axis=1))
-
-    def back(g):
-        dcols = np.broadcast_to((g / ksz)[:, None], (g.shape[0], ksz) + g.shape[1:])
-        accumulate(x, _unwindow(dcols, x.shape, window, stride, pad))
-
-    return record("avg_pool", (x,), out, back)
-
-
-def _bin_bounds(length: int, target: int):
-    # bin j covers [ceil(j*L/t), ceil((j+1)*L/t)); e.g. 5 -> 2 gives {0,1,2},{3,4}
-    edges = [-(-(j * length) // target) for j in range(target + 1)]
-    starts = edges[:-1]
-    counts = [edges[j + 1] - edges[j] for j in range(target)]
-    return np.array(starts), np.array(counts)
+    if any(k > n + 2 * p for n, k, p in zip(x.shape[1:], window, pad)):
+        raise DimensionError(
+            f"avg_pool: kernel {window} larger than padded input {x.shape[1:]} (pad {pad})")
+    mats = [_averaging_matrix(n, tuple((o * s - p, o * s - p + k, k)
+                                       for o in range((n + 2 * p - k) // s + 1)))
+            for n, k, s, p in zip(x.shape[1:], window, stride, pad)]
+    return _pool(x, mats, "avg_pool")
 
 
 def adaptive_avg_pool(x: Tensor, target) -> Tensor:
     """Adaptive average pooling: axis i is split into target[i] contiguous bins
     [ceil(j*L/t), ceil((j+1)*L/t)) and each bin is averaged."""
-    nd = x.ndim - 1
-    target = _as_tuple(target, nd)
+    target = _as_tuple(target, x.ndim - 1)
     if any(t <= 0 for t in target):
         raise ArgumentError(f"adaptive_avg_pool: target must be positive, got {target}")
-    for t, s in zip(target, x.shape[1:]):
-        if t > s:
-            raise ArgumentError(f"adaptive_avg_pool: target {target} exceeds input {x.shape[1:]}")
-    y = x.data
-    axis_counts = []
-    for ax in range(nd):
-        starts, counts = _bin_bounds(x.shape[1 + ax], target[ax])
-        y = np.add.reduceat(y, starts, axis=1 + ax)
-        shape = [1] * y.ndim
-        shape[1 + ax] = -1
-        y = y / counts.reshape(shape)
-        axis_counts.append(counts)
-    out = Tensor(y)
-
-    def back(g):
-        d = g
-        for ax in reversed(range(nd)):
-            counts = axis_counts[ax]
-            shape = [1] * d.ndim
-            shape[1 + ax] = -1
-            d = np.repeat(d / counts.reshape(shape), counts, axis=1 + ax)
-        accumulate(x, d)
-
-    return record("adaptive_avg_pool", (x,), out, back)
+    if any(t > n for t, n in zip(target, x.shape[1:])):
+        raise ArgumentError(f"adaptive_avg_pool: target {target} exceeds input {x.shape[1:]}")
+    mats = [_averaging_matrix(n, _bin_windows(n, t)) for n, t in zip(x.shape[1:], target)]
+    return _pool(x, mats, "adaptive_avg_pool")
 
 
 def expand_bins(x: Tensor, out_sizes) -> Tensor:
     """Nearest-neighbor inverse of adaptive_avg_pool: repeat each bin value over
     the positions its bin covered at size ``out_sizes``."""
-    nd = x.ndim - 1
-    out_sizes = _as_tuple(out_sizes, nd)
-    y = x.data
-    axis_counts = []
-    for ax in range(nd):
-        _, counts = _bin_bounds(out_sizes[ax], x.shape[1 + ax])
-        y = np.repeat(y, counts, axis=1 + ax)
-        axis_counts.append(counts)
-    out = Tensor(y)
-
-    def back(g):
-        d = g
-        for ax in reversed(range(nd)):
-            starts = np.concatenate([[0], np.cumsum(axis_counts[ax])[:-1]])
-            d = np.add.reduceat(d, starts, axis=1 + ax)
-        accumulate(x, d)
-
-    return record("expand_bins", (x,), out, back)
+    out_sizes = _as_tuple(out_sizes, x.ndim - 1)
+    if any(n < t for n, t in zip(out_sizes, x.shape[1:])):
+        raise ArgumentError(
+            f"expand_bins: out_sizes {out_sizes} smaller than bins {x.shape[1:]}")
+    mats = [_averaging_matrix(n, _bin_windows(n, t, divisor=1)).T
+            for n, t in zip(out_sizes, x.shape[1:])]
+    return _pool(x, mats, "expand_bins")
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +302,7 @@ def expand_bins(x: Tensor, out_sizes) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def sigmoid(x: Tensor) -> Tensor:
-    y = np.empty_like(x.data)
-    pos = x.data >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    ex = np.exp(x.data[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    y = expit(x.data)
     out = Tensor(y)
 
     def back(g):

@@ -106,6 +106,12 @@ def _check_tensor_core(rng, tol, max_elements):
         lambda: _weighted_sum(ops.avg_pool(xq, 3, stride=2, padding=1), pq),
         {"x": xq}).items()})
 
+    xg = param(rng.normal(size=(2, 7, 7)))         # the block's global path
+    pg = rng.normal(size=(2, 7, 7))
+    errors.update({f"pool_global.{k}": v for k, v in check_gradients(
+        lambda: _weighted_sum(ops.expand_bins(ops.adaptive_avg_pool(xg, (3, 3)), (7, 7)), pg),
+        {"x": xg}).items()})
+
     xa = param(rng.normal(size=(2, 5)))
     errors.update({f"activations.{k}": v for k, v in check_gradients(
         lambda: tsum(ops.softmax(ops.gelu(ops.sigmoid(xa)), axis=1)),

@@ -152,6 +152,29 @@ def adaptive_pool2d_enum(x, th, tw):
     return out
 
 
+def adaptive_pool_loops(x, target):
+    """Any number of spatial axes: each output is the mean of one product of
+    per-axis bins."""
+    bins = [adaptive_bins(n, t) for n, t in zip(x.shape[1:], target)]
+    out = np.zeros((x.shape[0],) + tuple(target))
+    for ci in range(x.shape[0]):
+        for pos in np.ndindex(*target):
+            cell = tuple(slice(*bins[a][p]) for a, p in enumerate(pos))
+            out[(ci,) + pos] = x[(ci,) + cell].mean()
+    return out
+
+
+def expand_bins_loops(x, out_sizes):
+    """Any number of spatial axes: each bin value fills the cells of its bin."""
+    bins = [adaptive_bins(n, t) for n, t in zip(out_sizes, x.shape[1:])]
+    out = np.zeros((x.shape[0],) + tuple(out_sizes))
+    for ci in range(x.shape[0]):
+        for pos in np.ndindex(*x.shape[1:]):
+            cell = tuple(slice(*bins[a][p]) for a, p in enumerate(pos))
+            out[(ci,) + cell] = x[(ci,) + pos]
+    return out
+
+
 def expand_bins2d_enum(x, oh, ow):
     c, th, tw = x.shape
     out = np.zeros((c, oh, ow))

@@ -271,6 +271,23 @@ class TestSampleDir:
         assert streams.skipped == 1
         assert len(streams.train) + len(streams.val) + len(streams.test) == 2
 
+    @pytest.mark.parametrize("name,text", [
+        ("labels.txt", "x 0 0 0\n"),               # not an integer
+        ("labels.txt", "-1 0 0 0\n"),              # below the class range
+        ("labels.txt", "0 0 0 9\n"),               # past the last class
+        ("boxes.txt", "3 0 9 6\n0 6 1.5 12\n"),    # non-integer box corner
+        ("boxes.txt", "3 0 9 6\n0 6 12\n"),        # three values, not four
+    ])
+    def test_malformed_text_file_skipped(self, tmp_path, name, text):
+        rec = SyntheticRecipe(noise=0.1)
+        bundles = list(generate_synthetic(rec, 3, 16, TOY))
+        for b in bundles:
+            write_sample_dir(b, tmp_path)
+        (tmp_path / bundles[1].sample_id / name).write_text(text)
+        streams = load_sample_dir(tmp_path, config=TOY)
+        assert streams.skipped == 1
+        assert len(streams.train) + len(streams.val) + len(streams.test) == 2
+
     def test_malformed_frame_header_raises_on_direct_load(self, tmp_path):
         (tmp_path / "x.t3tn").write_bytes(b"XXXX")
         with pytest.raises(InputError):

@@ -176,6 +176,42 @@ class TestPooling:
         got = ops.expand_bins(Tensor(x), (7, 7)).data
         assert np.abs(got - oracles.expand_bins2d_enum(x, 7, 7)).max() < 1e-12
 
+    @pytest.mark.parametrize("shape,target", [
+        ((32, 8, 8, 3), (2, 2, 1)),     # the joints' volume
+        ((2, 9, 7), (4, 3)),
+        ((3, 7, 5, 3), (3, 2, 2)),
+        ((2, 11), (4,)),
+    ])
+    def test_adaptive_nd_matches_loops(self, shape, target):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=shape)
+        got = ops.adaptive_avg_pool(Tensor(x), target).data
+        ref = oracles.adaptive_pool_loops(x, target)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() < 1e-12
+
+    @pytest.mark.parametrize("shape,out_sizes", [
+        ((2, 3), (8,)),
+        ((2, 3, 2), (7, 5)),
+        ((1, 2, 3, 2), (5, 7, 3)),
+    ])
+    def test_expand_bins_nd_matches_loops(self, shape, out_sizes):
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=shape)
+        got = ops.expand_bins(Tensor(x), out_sizes).data
+        ref = oracles.expand_bins_loops(x, out_sizes)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() < 1e-12
+
+    @pytest.mark.parametrize("out_sizes", [(3,), (0,)])
+    def test_expand_bins_fewer_positions_than_bins_rejected(self, out_sizes):
+        with pytest.raises(ArgumentError):
+            ops.expand_bins(Tensor(np.arange(5.0).reshape(1, 5)), out_sizes)
+
+    def test_pool_kernel_larger_than_padded_input(self):
+        with pytest.raises(DimensionError):
+            ops.avg_pool(Tensor(np.zeros((1, 2, 2))), 5, padding=1)
+
     def test_zero_target_rejected(self):
         with pytest.raises(ArgumentError):
             ops.adaptive_avg_pool(Tensor(np.zeros((1, 4))), (0,))
