@@ -110,11 +110,7 @@ def stem(views: Sequence[ViewSequence], p: StemParams) -> Tensor:
         # no padding, so constant frames map to exactly constant features
         x = Tensor((frames - 0.5).reshape(3 * t, hv, wv))
         x = depthwise_conv2d(x, p.depthwise_w[i], p.depthwise_b[i])
-        hv, wv = x.shape[1], x.shape[2]
-        x = reshape(x, (3 * t, hv * wv))
-        x = grouped_pointwise(x, p.pointwise_w[i], p.pointwise_b[i])
-        x = gelu(x)
-        x = reshape(x, (t * cpf, hv, wv))
+        x = gelu(grouped_pointwise(x, p.pointwise_w[i], p.pointwise_b[i]))
         feats.append(adaptive_avg_pool(x, (p.height, p.width)))
     cat = concat(feats, axis=0)                  # layout [view][frame][cpf]
 
@@ -155,8 +151,7 @@ class BlockParams:
 
 
 def init_block(channels: int, frame_count: int, height: int, width: int,
-               state_dim: int, rng: np.random.Generator,
-               gamma_init: float = 0.5) -> BlockParams:
+               state_dim: int, rng: np.random.Generator) -> BlockParams:
     if channels % frame_count != 0:
         raise ConfigError(f"block: channels {channels} not divisible by "
                           f"frame count {frame_count}")
@@ -174,17 +169,9 @@ def init_block(channels: int, frame_count: int, height: int, width: int,
         global_b=param(np.zeros(channels)),
         out_w=glorot(rng, (channels, channels), channels, channels),
         out_b=param(np.zeros(channels)),
-        gamma=param(np.array(gamma_init)),
+        gamma=param(np.array(0.5)),
         frame_count=frame_count,
     )
-
-
-def channel_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Linear map over the channel axis of [C, H, W], shared across positions."""
-    c, h, wd = x.shape
-    flat = transpose(reshape(x, (c, h * wd)), (1, 0))
-    out = linear(flat, w, b)
-    return reshape(transpose(out, (1, 0)), (c, h, wd))
 
 
 def dual_path_block(x: Tensor, p: BlockParams,
@@ -210,7 +197,7 @@ def dual_path_block(x: Tensor, p: BlockParams,
     local_seq = scan(seq, fwd_p, ScanDirection.FORWARD)
     local_map = reshape(local_seq, (c, h, w))
     local_map = avg_pool(local_map, 3, stride=1, padding=1)
-    local_feat = channel_linear(local_map, p.local_w, p.local_b)
+    local_feat = linear(local_map, p.local_w, p.local_b)
 
     bwd_dir = ScanDirection.FORWARD if single_direction else ScanDirection.BACKWARD
     bwd_p = SsmParams(A=p.A_bwd, B=fwd_p.B, C_mat=fwd_p.C_mat, D=p.D_bwd, n=fwd_p.n)
@@ -221,11 +208,11 @@ def dual_path_block(x: Tensor, p: BlockParams,
     else:
         grid = (min(GLOBAL_POOL_GRID, h), min(GLOBAL_POOL_GRID, w))
         global_map = expand_bins(adaptive_avg_pool(global_map, grid), (h, w))
-    global_feat = channel_linear(global_map, p.global_w, p.global_b)
+    global_feat = linear(global_map, p.global_w, p.global_b)
 
     gate = compute_gate(p.ssm)                                # [C]
     merged = scale_channels(add(local_feat, global_feat), gate)
-    projected = channel_linear(merged, p.out_w, p.out_b)
+    projected = linear(merged, p.out_w, p.out_b)
     return add(x, scale_by(projected, p.gamma))
 
 

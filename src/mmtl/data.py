@@ -147,12 +147,14 @@ def default_boxes(hv: int, wv: int) -> Tuple[Tuple[int, int, int, int], ...]:
 
 def crop_resize(frames: np.ndarray, box: Tuple[int, int, int, int],
                 out_h: int, out_w: int) -> np.ndarray:
-    """Crop [T, 3, H, W] frames to box (x0, y0, x1, y1), nearest-resize back."""
+    """Crop [T, 3, H, W] frames to box (x0, y0, x1, y1), nearest-resize back.
+    The box must satisfy 0 <= x0 < x1 <= W and 0 <= y0 < y1 <= H."""
     x0, y0, x1, y1 = box
+    if not (0 <= x0 < x1 <= frames.shape[3] and 0 <= y0 < y1 <= frames.shape[2]):
+        raise InputError(f"crop box {box} empty or outside the {frames.shape[3]}x"
+                         f"{frames.shape[2]} frame")
     crop = frames[:, :, y0:y1, x0:x1]
     ch, cw = crop.shape[2], crop.shape[3]
-    if ch == 0 or cw == 0:
-        raise InputError(f"empty crop box {box}")
     rows = (np.arange(out_h) * ch) // out_h
     cols = (np.arange(out_w) * cw) // out_w
     return crop[:, :, rows][:, :, :, cols]

@@ -2,7 +2,9 @@
 batch normalization, linear maps, and cross-entropy.
 
 Layout convention is channels-first with no batch axis: a feature map is
-[C, H, W], a volume is [C, D, H, W], a sequence is [C, L]. Convolutions use
+[C, H, W], a volume is [C, D, H, W], a sequence is [C, L]. Every op follows
+it, the channel maps included: ``linear`` and ``grouped_pointwise`` mix the
+leading axis and keep the trailing axes as they are. Convolutions use
 the cross-correlation convention (no kernel flip) and zero padding; output
 spatial size is floor((in + 2*pad - k)/stride) + 1.
 
@@ -42,26 +44,27 @@ def _as_tuple(v, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Affine map over the last axis: y[..., o] = sum_i x[..., i] w[i, o] + b[o]."""
+    """Affine map over the channel axis, shared across positions: x [Cin, *sp],
+    w [Cin, Cout] -> [Cout, *sp], y[o, ...] = sum_i w[i, o] x[i, ...] + b[o]."""
     if weight.ndim != 2:
         raise DimensionError(f"linear: weight must be 2-d, got {weight.shape}")
-    if x.shape[-1] != weight.shape[0]:
-        raise DimensionError(
-            f"linear: x last dim {x.shape[-1]} != weight rows {weight.shape[0]}")
-    if bias is not None and bias.shape != (weight.shape[1],):
-        raise DimensionError(f"linear: bias {bias.shape} vs out dim {weight.shape[1]}")
-    y = x.data @ weight.data
+    cin, cout = weight.shape
+    if x.shape[:1] != (cin,):
+        raise DimensionError(f"linear: x {x.shape} channels != weight rows {cin}")
+    if bias is not None and bias.shape != (cout,):
+        raise DimensionError(f"linear: bias {bias.shape} vs out dim {cout}")
+    x2 = x.data.reshape(cin, -1)
+    y = weight.data.T @ x2
     if bias is not None:
-        y = y + bias.data
-    out = Tensor(y)
-    x2 = x.data.reshape(-1, x.shape[-1])
+        y = y + bias.data[:, None]
+    out = Tensor(y.reshape((cout,) + x.shape[1:]))
 
     def back(g):
-        g2 = g.reshape(-1, weight.shape[1])
-        accumulate(x, (g2 @ weight.data.T).reshape(x.shape))
-        accumulate(weight, x2.T @ g2)
+        g2 = g.reshape(cout, -1)
+        accumulate(x, (weight.data @ g2).reshape(x.shape))
+        accumulate(weight, x2 @ g2.T)
         if bias is not None:
-            accumulate(bias, g2.sum(axis=0))
+            accumulate(bias, g2.sum(axis=1))
 
     ins = (x, weight) if bias is None else (x, weight, bias)
     return record("linear", ins, out, back)
@@ -184,22 +187,21 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
 
 
 def grouped_pointwise(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """Group-local 1x1 mixing over flattened positions: x [G*Cin, L], w [G, Cout, Cin]
-    -> [G*Cout, L]. Keeps channel groups (e.g. per-frame blocks) separate."""
+    """Group-local 1x1 mixing: x [G*Cin, *sp], w [G, Cout, Cin] -> [G*Cout, *sp].
+    Keeps channel groups (e.g. per-frame blocks) separate."""
     g_, cout, cin = w.shape
-    if x.ndim != 2 or x.shape[0] != g_ * cin:
+    if x.shape[:1] != (g_ * cin,):
         raise DimensionError(f"grouped_pointwise: x {x.shape} vs weight {w.shape}")
-    length = x.shape[1]
-    xg = x.data.reshape(g_, cin, length)
+    xg = x.data.reshape(g_, cin, -1)
     y = np.einsum("goc,gcl->gol", w.data, xg)
     if b is not None:
         if b.shape != (g_ * cout,):
             raise DimensionError(f"grouped_pointwise: bias {b.shape} vs {g_ * cout}")
         y = y + b.data.reshape(g_, cout, 1)
-    out = Tensor(y.reshape(g_ * cout, length))
+    out = Tensor(y.reshape((g_ * cout,) + x.shape[1:]))
 
     def back(grad):
-        g3 = grad.reshape(g_, cout, length)
+        g3 = grad.reshape(g_, cout, -1)
         accumulate(w, np.einsum("gol,gcl->goc", g3, xg))
         if b is not None:
             accumulate(b, g3.sum(axis=2).reshape(-1))
@@ -355,12 +357,11 @@ class RunningStats:
 
 
 def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, stats: RunningStats,
-              eps: float = 1e-5, train: bool = True, channel_axis: int = 0,
-              momentum: float = 0.1) -> Tensor:
+              eps: float = 1e-5, train: bool = True, channel_axis: int = 0) -> Tensor:
     """Normalize over every axis except ``channel_axis``.
 
-    Train mode uses batch statistics and folds them into ``stats`` with the
-    given momentum; eval mode normalizes by the running statistics.
+    Train mode uses batch statistics and folds them into ``stats`` with
+    momentum 0.1; eval mode normalizes by the running statistics.
     """
     c = x.shape[channel_axis]
     if scale.shape != (c,) or shift.shape != (c,):
@@ -375,7 +376,7 @@ def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, stats: RunningStats,
     if train:
         mean = x.data.mean(axis=red)
         var = x.data.var(axis=red)
-        stats.update(mean, var, momentum)
+        stats.update(mean, var, 0.1)
     else:
         mean, var = stats.mean, stats.var
     inv_std = 1.0 / np.sqrt(var + eps)

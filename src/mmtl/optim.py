@@ -5,7 +5,7 @@ rate schedule and patience-based early stopping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -35,15 +35,14 @@ class OptimizerState:
         return lr_for_epoch(self.epoch, self.base_lr)
 
 
-def sgd_step(state: OptimizerState, params: Dict[str, Tensor],
-             grads: Optional[Dict[str, np.ndarray]] = None) -> None:
+def sgd_step(state: OptimizerState, params: Dict[str, Tensor]) -> None:
     """v <- momentum*v + g + wd*w;  w <- w - lr*v. Parameters without a
     gradient this step are skipped; a non-finite gradient anywhere rejects the
     whole step before anything changes."""
     lr = state.lr
     step = []
     for name, p in params.items():
-        g = grads.get(name) if grads is not None else p.grad
+        g = p.grad
         if g is None:
             continue
         if not np.all(np.isfinite(g)):

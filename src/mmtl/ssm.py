@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import DimensionError
 from .ops import sigmoid
-from .tensor import Tensor, accumulate, add, flip, matmul, narrow, param, record, \
-    reshape, transpose
+from .tensor import Tensor, accumulate, add, matmul, narrow, param, record, reshape, \
+    transpose
 
 
 class ScanDirection(Enum):
@@ -137,17 +137,17 @@ def scan(x: Tensor, p: SsmParams, direction: ScanDirection = ScanDirection.FORWA
     """Run the linear recurrence over the leading (temporal) axis of x [T, C, L],
     as the causal convolution over frames given in the module docstring.
 
-    Backward direction is literally reverse -> forward scan -> reverse, so the
-    duality identity holds bit-exactly.
+    The backward direction reverses the frames inside this one op: it runs the
+    forward arithmetic on a contiguous reversed copy of x and reverses the
+    result (and, in the backward pass, the incoming and outgoing gradients),
+    so it equals reverse -> forward scan -> reverse bit-exactly.
     """
     if x.ndim != 3:
         raise DimensionError(f"scan: x must be [T, C, L], got {x.shape}")
     T, C, _ = x.shape
     if C != p.channels:
         raise DimensionError(f"scan: x has {C} channels, params have {p.channels}")
-
-    if direction is ScanDirection.BACKWARD:
-        return flip(scan(flip(x, 0), p, ScanDirection.FORWARD), 0)
+    step = -1 if direction is ScanDirection.BACKWARD else 1
 
     a, b, c = p.A.data, p.B.data, p.C_mat.data
     lam = np.exp(np.minimum(a, 0.0))                        # [C, n]
@@ -157,17 +157,17 @@ def scan(x: Tensor, p: SsmParams, direction: ScanDirection = ScanDirection.FORWA
     kernel[0] += p.D.data
     lags = _lags(T)
     conv = np.tensordot(kernel, lags, axes=(0, 0))          # [C, T, T]: K[t - s, c]
-    xc = x.data.transpose(1, 0, 2)                          # [C, T, L]
-    out = Tensor((conv @ xc).transpose(1, 0, 2))
+    xc = np.ascontiguousarray(x.data[::step]).transpose(1, 0, 2)  # [C, T, L]
+    out = Tensor((conv @ xc).transpose(1, 0, 2)[::step])
     a_open = (a < 0.0).astype(np.float64)   # d lam / d a = lam, zero where clamped
 
     def back(g):
-        gc = g.transpose(1, 0, 2)                           # [C, T, L]
+        gc = np.ascontiguousarray(g[::step]).transpose(1, 0, 2)  # [C, T, L]
         gx = conv.transpose(0, 2, 1) @ gc                   # anti-causal correlation
         gk = np.tensordot(lags, gc @ xc.transpose(0, 2, 1), axes=([1, 2], [1, 2]))
         q = np.einsum("kc,kcn->cn", gk, powers)             # sum_k gK[k] lam^k
         r = np.einsum("kc,kcn->cn", gk * k[:, None], powers)  # sum_k gK[k] k lam^k
-        accumulate(x, gx.transpose(1, 0, 2))
+        accumulate(x, gx.transpose(1, 0, 2)[::step])
         accumulate(p.A, b * c * r * a_open)
         accumulate(p.B, c * q)
         accumulate(p.C_mat, b * q)

@@ -5,9 +5,10 @@ write into their inputs, so concurrent reads are always safe. Gradient
 recording happens only while a Tape is active (``with Tape() as tape:``)
 in the calling thread; without one, every operation is pure inference.
 
-Broadcasting is deliberately minimal: same-shape elementwise ops, scalar
-times tensor, a bias over the last axis (inside ``ops.linear``), and a
-channel vector over trailing spatial axes (``scale_channels``).
+Layouts are channels-first, here and in ``ops``: where an op has a channel
+axis, it is axis 0. Broadcasting is deliberately minimal: same-shape
+elementwise ops, scalar times tensor, and a channel vector over the trailing
+axes (a bias inside ``ops.linear``, a gate in ``scale_channels``).
 """
 
 from __future__ import annotations
@@ -298,15 +299,6 @@ def transpose(a: Tensor, axes) -> Tensor:
         accumulate(a, g.transpose(inv))
 
     return record("transpose", (a,), out, back)
-
-
-def flip(a: Tensor, axis: int) -> Tensor:
-    out = Tensor(np.flip(a.data, axis=axis))
-
-    def back(g):
-        accumulate(a, np.flip(g, axis=axis))
-
-    return record("flip", (a,), out, back)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

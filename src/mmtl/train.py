@@ -12,7 +12,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .config import TASKS, ModelConfig
-from .data import SampleBundle, SyntheticRecipe, augment, generate_synthetic
+from .data import SampleBundle, SyntheticRecipe, generate_synthetic
 from .errors import TrainingDiverged
 from .heads import TaskMetrics, compute_metrics, format_metrics_record, total_loss
 from .model import Model
@@ -93,7 +93,6 @@ def evaluate(model: Model, samples: List[SampleBundle]) -> TaskMetrics:
 def run_toy_training(config: ModelConfig, recipe: SyntheticRecipe, steps: int,
                      batch_size: int = 8, train_count: int = 256,
                      val_count: int = 256, eval_every: Optional[int] = None,
-                     use_augment: bool = False,
                      log_path: Optional[str] = None,
                      stopper: Optional[EarlyStopper] = None) -> TrainResult:
     """Train on a fresh synthetic set; deterministic for a fixed config seed.
@@ -115,8 +114,6 @@ def run_toy_training(config: ModelConfig, recipe: SyntheticRecipe, steps: int,
         for step in range(steps):
             idx = rng.choice(len(train_set), size=batch_size, replace=False)
             batch = [train_set[i] for i in idx]
-            if use_augment:
-                batch = [augment(b, int(rng.integers(1 << 31))) for b in batch]
             model.zero_grad()
             with Tape() as tape:
                 loss, _ = batch_loss(model, batch, train=True)

@@ -56,7 +56,7 @@ def _toy_config(seed: int) -> ModelConfig:
 
 def _check_tensor_core(rng, tol, max_elements):
     errors = {}
-    x = param(rng.normal(size=(3, 4)))
+    x = param(rng.normal(size=(4, 3)))
     w = param(rng.normal(size=(4, 2)))
     errors.update({f"matmul.{k}": v for k, v in check_gradients(
         lambda: tsum(ops.linear(x, w)), {"x": x, "w": w}).items()})

@@ -11,7 +11,7 @@ import pytest
 from mmtl import ops
 from mmtl.errors import ArgumentError, TapeError
 from mmtl.gradcheck import assert_gradients_close, check_gradients
-from mmtl.tensor import Tape, Tensor, add, backward, concat, flip, matmul, mul, \
+from mmtl.tensor import Tape, Tensor, add, backward, concat, matmul, mul, \
     narrow, neg, param, scale, scale_by, scale_channels, sub, \
     take_channels, tile_spatial, transpose, tsum
 
@@ -130,7 +130,7 @@ class TestPrimitiveGradients:
         _fd(lambda: tsum(matmul(a, b)), {"a": a, "b": b})
 
     def test_linear(self):
-        x = param(rng.normal(size=(2, 5, 3)))
+        x = param(rng.normal(size=(3, 2, 5)))
         w = param(rng.normal(size=(3, 4)))
         b = param(rng.normal(size=(4,)))
         _fd(lambda: tsum(ops.linear(x, w, b)), {"x": x, "w": w, "b": b})
@@ -163,6 +163,10 @@ class TestPrimitiveGradients:
         w = param(rng.normal(size=(2, 4, 3)))
         b = param(rng.normal(size=(8,)))
         _fd(lambda: tsum(ops.grouped_pointwise(x, w, b)), {"x": x, "w": w, "b": b})
+        x3 = param(rng.normal(size=(6, 2, 3)))     # [G*Cin, H, W]
+        probe = Tensor(rng.normal(size=(8, 2, 3)))
+        _fd(lambda: tsum(mul(ops.grouped_pointwise(x3, w, b), probe)),
+            {"x": x3, "w": w, "b": b})
 
     def test_pools(self):
         x = param(rng.normal(size=(2, 6, 6)))
@@ -198,13 +202,11 @@ class TestPrimitiveGradients:
         x = param(rng.normal(size=(4, 3)))
         y = param(rng.normal(size=(2, 3)))
         p_cat = Tensor(rng.normal(size=(6, 3)))
-        p_flip = Tensor(rng.normal(size=(4, 3)))
         p_tr = Tensor(rng.normal(size=(3, 4)))
         p_take = Tensor(rng.normal(size=(5, 3)))
         p_tile = Tensor(rng.normal(size=(3, 2, 2)))
         _fd(lambda: tsum(mul(concat([x, y], axis=0), p_cat)), {"x": x, "y": y})
         _fd(lambda: tsum(narrow(x, 0, 1, 2)), {"x": x})
-        _fd(lambda: tsum(mul(flip(x, 1), p_flip)), {"x": x})
         _fd(lambda: tsum(mul(transpose(x, (1, 0)), p_tr)), {"x": x})
         _fd(lambda: tsum(mul(take_channels(x, np.array([2, 0, 1, 3, 2])), p_take)),
             {"x": x})

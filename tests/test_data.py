@@ -277,6 +277,9 @@ class TestSampleDir:
         ("labels.txt", "0 0 0 9\n"),               # past the last class
         ("boxes.txt", "3 0 9 6\n0 6 1.5 12\n"),    # non-integer box corner
         ("boxes.txt", "3 0 9 6\n0 6 12\n"),        # three values, not four
+        ("boxes.txt", "3 0 9 6\n0 6 13 12\n"),     # corner past the frame edge
+        ("boxes.txt", "-4 0 9 6\n0 6 12 12\n"),    # negative corner
+        ("boxes.txt", "3 0 3 6\n0 6 12 12\n"),     # empty box, x1 == x0
     ])
     def test_malformed_text_file_skipped(self, tmp_path, name, text):
         rec = SyntheticRecipe(noise=0.1)

@@ -12,7 +12,7 @@ from mmtl.errors import DimensionError
 from mmtl.gradcheck import assert_gradients_close
 from mmtl.ssm import ScanDirection, SsmParams, compute_gate, init_ssm_params, scan, \
     unit_vector
-from mmtl.tensor import Tape, Tensor, backward, param, tsum
+from mmtl.tensor import Tape, Tensor, backward, mul, param, tsum
 
 import oracles
 
@@ -141,10 +141,19 @@ class TestScan:
         rng = np.random.default_rng(7)
         p = init_ssm_params(3, 2, rng)
         x = param(rng.normal(size=(4, 3, 2)))
+        probe = Tensor(rng.normal(size=(4, 3, 2)))   # uneven in time, unlike tsum alone
         for direction in (ScanDirection.FORWARD, ScanDirection.BACKWARD):
-            assert_gradients_close(lambda: tsum(scan(x, p, direction)),
+            assert_gradients_close(lambda: tsum(mul(scan(x, p, direction), probe)),
                                    {"x": x, **p.tensors()})
         assert_gradients_close(lambda: tsum(compute_gate(p)), p.tensors())
+
+    def test_backward_scan_records_one_node(self):
+        rng = np.random.default_rng(9)
+        p = init_ssm_params(3, 2, rng)
+        x = param(rng.normal(size=(4, 3, 2)))
+        with Tape() as tape:
+            scan(x, p, ScanDirection.BACKWARD)
+        assert [n.op for n in tape.nodes] == ["ssm_scan"]
 
     def test_clamped_transition_gets_zero_gradient(self):
         rng = np.random.default_rng(13)
