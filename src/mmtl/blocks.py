@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .ops import adaptive_avg_pool, avg_pool, convolve, depthwise_conv2d, expand_bins, \
     gelu, grouped_pointwise, linear
-from .ssm import ScanDirection, SsmParams, compute_gate, init_ssm_params, init_transition, scan
+from .ssm import ScanDirection, compute_gate, init_transition, scan
 from .tensor import Tensor, add, concat, glorot, param, reshape, scale_by, scale_channels, \
     take_channels, transpose
 
@@ -125,9 +125,12 @@ class BlockParams:
 
     conv1d_w: Tensor            # [L, L, 3]; positions as channels, C as length
     conv1d_b: Tensor
-    ssm: SsmParams              # [C] rows: forward-scan A/D, B/C shared by both scans
-    A_bwd: Tensor               # [C/T, n] backward-scan A; it scans one frame group
+    A_fwd: Tensor               # [C, n] forward-scan A; the gate reads all C rows
+    D_fwd: Tensor               # [C]
+    A_bwd: Tensor               # [C/T, n] backward-scan A; a scan reads one frame group
     D_bwd: Tensor               # [C/T]
+    B: Tensor                   # [C, n], read by both scans and the gate
+    C: Tensor                   # [C, n]
     local_w: Tensor             # [C, C]
     local_b: Tensor
     global_w: Tensor
@@ -143,9 +146,9 @@ class BlockParams:
             "local_w": self.local_w, "local_b": self.local_b,
             "global_w": self.global_w, "global_b": self.global_b,
             "out_w": self.out_w, "out_b": self.out_b, "gamma": self.gamma,
-            "ssm.A_fwd": self.ssm.A, "ssm.D_fwd": self.ssm.D,
+            "ssm.A_fwd": self.A_fwd, "ssm.D_fwd": self.D_fwd,
             "ssm.A_bwd": self.A_bwd, "ssm.D_bwd": self.D_bwd,
-            "ssm.B": self.ssm.B, "ssm.C": self.ssm.C_mat,
+            "ssm.B": self.B, "ssm.C": self.C,
         }
         return out
 
@@ -158,7 +161,10 @@ def init_block(channels: int, frame_count: int, height: int, width: int,
     spatial = height * width
     group = channels // frame_count
     return BlockParams(
-        ssm=init_ssm_params(channels, state_dim, rng),
+        A_fwd=init_transition(channels, state_dim, rng),
+        B=param(rng.normal(0.0, 0.3, size=(channels, state_dim))),
+        C=param(rng.normal(0.0, 0.3, size=(channels, state_dim))),
+        D_fwd=param(np.zeros(channels)),
         A_bwd=init_transition(group, state_dim, rng),
         D_bwd=param(np.zeros(group)),
         conv1d_w=glorot(rng, (spatial, spatial, 3), spatial * 3, spatial * 3),
@@ -193,15 +199,13 @@ def dual_path_block(x: Tensor, p: BlockParams,
     z = gelu(z)
     seq = reshape(transpose(z, (1, 0)), (t, group, spatial))  # [T, C', L]
 
-    fwd_p = p.ssm.restrict(group)
-    local_seq = scan(seq, fwd_p, ScanDirection.FORWARD)
+    local_seq = scan(seq, p.A_fwd, p.B, p.C, p.D_fwd, ScanDirection.FORWARD)
     local_map = reshape(local_seq, (c, h, w))
     local_map = avg_pool(local_map, 3, stride=1, padding=1)
     local_feat = linear(local_map, p.local_w, p.local_b)
 
     bwd_dir = ScanDirection.FORWARD if single_direction else ScanDirection.BACKWARD
-    bwd_p = SsmParams(A=p.A_bwd, B=fwd_p.B, C_mat=fwd_p.C_mat, D=p.D_bwd, n=fwd_p.n)
-    global_seq = scan(seq, bwd_p, bwd_dir)
+    global_seq = scan(seq, p.A_bwd, p.B, p.C, p.D_bwd, bwd_dir)
     global_map = reshape(global_seq, (c, h, w))
     if local_only:
         global_map = avg_pool(global_map, 3, stride=1, padding=1)
@@ -210,7 +214,7 @@ def dual_path_block(x: Tensor, p: BlockParams,
         global_map = expand_bins(adaptive_avg_pool(global_map, grid), (h, w))
     global_feat = linear(global_map, p.global_w, p.global_b)
 
-    gate = compute_gate(p.ssm)                                # [C]
+    gate = compute_gate(p.A_fwd, p.B, p.C, p.D_fwd)           # [C]
     merged = scale_channels(add(local_feat, global_feat), gate)
     projected = linear(merged, p.out_w, p.out_b)
     return add(x, scale_by(projected, p.gamma))

@@ -46,8 +46,10 @@ class ModelConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.frame_count <= 0:
-            raise ConfigError("frame_count: must be positive")
+        for name in ("frame_count", "channels", "height", "width", "view_height",
+                     "view_width", "state_dim", "block_depth", "joint_count"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name}: must be positive")
         if self.channels % self.frame_count != 0:
             raise ConfigError(
                 f"channels: {self.channels} violates channels % frame_count == 0 "
@@ -56,10 +58,6 @@ class ModelConfig:
             raise ConfigError(
                 f"channels: {self.channels} must divide into 3 views x "
                 f"{self.frame_count} frames per branch")
-        for name in ("height", "width", "view_height", "view_width",
-                     "state_dim", "block_depth", "joint_count"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name}: must be positive")
         for task in TASKS:
             if getattr(self, f"classes_{task}") < 2:
                 raise ConfigError(f"classes_{task}: need at least 2 classes")

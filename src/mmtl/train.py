@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import TASKS, ModelConfig
 from .data import SampleBundle, SyntheticRecipe, generate_synthetic
-from .errors import TrainingDiverged
+from .errors import ArgumentError, TrainingDiverged
 from .heads import TaskMetrics, compute_metrics, format_metrics_record, total_loss
 from .model import Model
 from .optim import EarlyStopper, OptimizerState, sgd_step
@@ -100,6 +100,11 @@ def run_toy_training(config: ModelConfig, recipe: SyntheticRecipe, steps: int,
     With a ``stopper``, training halts once validation mean accuracy stalls
     for the stopper's patience (checked at each evaluation).
     """
+    if steps < 1:
+        raise ArgumentError(f"steps: must be at least 1, got {steps}")
+    if not 1 <= batch_size <= train_count:
+        raise ArgumentError(f"batch_size: must lie in [1, train_count={train_count}], "
+                            f"got {batch_size}")
     model = Model(config)
     train_set = list(generate_synthetic(recipe, train_count, config.seed, config))
     val_set = list(generate_synthetic(recipe, val_count, config.seed + 1, config))
@@ -123,7 +128,7 @@ def run_toy_training(config: ModelConfig, recipe: SyntheticRecipe, steps: int,
             if step == 0:
                 result.initial_loss = loss_val
             backward(tape, loss)
-            opt.epoch = (step * batch_size) // max(train_count, 1)
+            opt.epoch = (step * batch_size) // train_count
             sgd_step(opt, model.parameters())
             result.final_loss = loss_val
 

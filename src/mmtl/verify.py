@@ -18,8 +18,8 @@ from .fusion import ModalityFeatures, init_gate_params, shared_attention, task_f
 from .gradcheck import check_gradients
 from .heads import init_head, head_forward, total_loss, TaskSpec
 from .joints import JointSequence, init_joint_branch, joints_forward
-from .ssm import ScanDirection, compute_gate, init_ssm_params, scan
-from .tensor import Tensor, param, tsum
+from .ssm import ScanDirection, compute_gate, init_transition, scan
+from .tensor import Tensor, add, mul, param, tsum
 
 MODULE_SELECTORS = ("tensor-core", "ssm", "stem", "block", "joints",
                     "fusion", "heads")
@@ -130,8 +130,6 @@ def _check_tensor_core(rng, tol, max_elements):
 
 
 def _weighted_sum(t: Tensor, probe: np.ndarray) -> Tensor:
-    from .tensor import mul
-
     return tsum(mul(t, Tensor(probe)))
 
 
@@ -152,16 +150,18 @@ def gradcheck_run(selector: str, tolerance: float = 1e-4, seed: int = 0,
         if s == "tensor-core":
             errors = _check_tensor_core(rng, tolerance, max_elements)
         elif s == "ssm":
-            p = init_ssm_params(3, 2, rng)
+            # 5 parameter rows against 3 channels of x: the scan reads and
+            # trains the leading rows, the gate all of them, as in a block
+            ssm_p = {"A": init_transition(5, 2, rng), "B": param(rng.normal(size=(5, 2))),
+                     "C": param(rng.normal(size=(5, 2))), "D": param(rng.normal(size=5))}
             x = param(rng.normal(size=(4, 3, 5)))
+            probe_y, probe_g = rng.normal(size=x.shape), rng.normal(size=5)
 
             def ssm_probe():
-                from .tensor import add
+                y = _weighted_sum(scan(x, **ssm_p, direction=ScanDirection.BACKWARD), probe_y)
+                return add(y, _weighted_sum(compute_gate(**ssm_p), probe_g))
 
-                y = tsum(scan(x, p, ScanDirection.BACKWARD))
-                return add(y, tsum(compute_gate(p)))
-
-            errors = check_gradients(ssm_probe, {"x": x, **p.tensors()}, **kw)
+            errors = check_gradients(ssm_probe, {"x": x, **ssm_p}, **kw)
         elif s == "stem":
             sp = init_stem(EXTERIOR_VIEWS, cfg.frame_count, cfg.channels,
                            cfg.height, cfg.width, rng)

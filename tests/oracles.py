@@ -222,6 +222,16 @@ def scan_unrolled(x, a, b, c, d, backward=False):
     return y
 
 
+def ssm_draw(channels, n, rng):
+    """Scan parameters (A, B, C, D) drawn in the order and at the scales a
+    block draws them: A [channels, n] uniform in (-0.6, -0.05), B and C normal
+    with scale 0.3, D zero."""
+    return (rng.uniform(-0.6, -0.05, size=(channels, n)),
+            rng.normal(0.0, 0.3, size=(channels, n)),
+            rng.normal(0.0, 0.3, size=(channels, n)),
+            np.zeros(channels))
+
+
 def gate_ref(a, b, c, d):
     ch, n = a.shape
     d_state = np.full(n, 1.0 / math.sqrt(n))
@@ -287,10 +297,10 @@ def block_ref(x, p, grid=3, single_direction=False, local_only=False):
     z = gelu_ref(z)
     seq = z.T.reshape(t, group, spatial)
 
-    a_f = p.ssm.A.data[:group]
-    b_f = p.ssm.B.data[:group]
-    c_f = p.ssm.C_mat.data[:group]
-    d_f = p.ssm.D.data[:group]
+    a_f = p.A_fwd.data[:group]
+    b_f = p.B.data[:group]
+    c_f = p.C.data[:group]
+    d_f = p.D_fwd.data[:group]
     local = scan_unrolled(seq, a_f, b_f, c_f, d_f).reshape(c, h, w)
     local = avg_pool2d_loops(local, 3, 1, pad=1)
     local = channel_linear_ref(local, p.local_w.data, p.local_b.data)
@@ -304,7 +314,7 @@ def block_ref(x, p, grid=3, single_direction=False, local_only=False):
         glob = expand_bins2d_enum(adaptive_pool2d_enum(glob, gh, gw), h, w)
     glob = channel_linear_ref(glob, p.global_w.data, p.global_b.data)
 
-    gate = gate_ref(p.ssm.A.data, p.ssm.B.data, p.ssm.C_mat.data, p.ssm.D.data)
+    gate = gate_ref(p.A_fwd.data, p.B.data, p.C.data, p.D_fwd.data)
     merged = (local + glob) * gate[:, None, None]
     projected = channel_linear_ref(merged, p.out_w.data, p.out_b.data)
     return x + float(p.gamma.data.reshape(-1)[0]) * projected

@@ -18,8 +18,8 @@ from mmtl.fusion import init_gate_params, task_gates, ModalityFeatures, \
 from mmtl.heads import compute_metrics
 from mmtl.model import count_params
 from mmtl.ops import softmax
-from mmtl.ssm import ScanDirection, compute_gate, init_ssm_params, scan
-from mmtl.tensor import Tensor
+from mmtl.ssm import ScanDirection, compute_gate, scan
+from mmtl.tensor import Tensor, param
 from mmtl.train import run_toy_training
 from mmtl.verify import gradcheck_run
 
@@ -32,6 +32,11 @@ NOISELESS = SyntheticRecipe(noise=0.0, amplitude=0.2)
 ABLATION_RECIPE = negative_transfer_recipe(noise=0.25, amplitude=0.2)
 
 DESIGNATED_INDEX = {"der": 2, "dbr": 1, "tcr": 0, "vbr": 0}   # ext, int, joints
+
+
+def ssm_params(channels, n, rng):
+    """Trainable scan parameters (A, B, C, D), drawn as a block draws them."""
+    return tuple(param(v) for v in oracles.ssm_draw(channels, n, rng))
 
 
 def report(criterion: str, ok: bool, detail: str) -> bool:
@@ -103,10 +108,10 @@ def test_criterion_4_structural_identities():
     a_ok = np.array_equal(dual_path_block(x, block).data, x.data)
 
     # (b) backward scan == reverse(forward(reverse)), bit exact
-    p = init_ssm_params(6, 3, rng)
+    p = ssm_params(6, 3, rng)
     xs = rng.normal(size=(8, 6, 5))
-    got = scan(Tensor(xs), p, ScanDirection.BACKWARD).data
-    want = scan(Tensor(xs[::-1].copy()), p, ScanDirection.FORWARD).data[::-1]
+    got = scan(Tensor(xs), *p, ScanDirection.BACKWARD).data
+    want = scan(Tensor(xs[::-1].copy()), *p, ScanDirection.FORWARD).data[::-1]
     b_ok = np.array_equal(got, want)
 
     # (c) attention rows sum to one within 1e-9
@@ -123,8 +128,8 @@ def test_criterion_4_structural_identities():
     gates_ok = True
     for seed in range(5):
         r2 = np.random.default_rng(seed)
-        sp = init_ssm_params(8, 3, r2)
-        g = compute_gate(sp).data
+        sp = ssm_params(8, 3, r2)
+        g = compute_gate(*sp).data
         gates_ok &= bool(np.all((g > 0) & (g < 1)))
         s = Tensor(r2.normal(size=(c, 3, 3)))
         for r in range(4):
@@ -165,12 +170,11 @@ def test_criterion_5_oracle_equivalence():
         worst_fuse = max(worst_fuse, np.abs(got - ref).max())
     diffs["task_fuse"] = worst_fuse
 
-    pp = init_ssm_params(4, 2, rng)
+    pp = ssm_params(4, 2, rng)
     xs = rng.normal(size=(4, 4, 16))
     diffs["scan"] = max(
-        np.abs(scan(Tensor(xs), pp, d).data
-               - oracles.scan_unrolled(xs, pp.A.data, pp.B.data, pp.C_mat.data,
-                                       pp.D.data,
+        np.abs(scan(Tensor(xs), *pp, d).data
+               - oracles.scan_unrolled(xs, *(t.data for t in pp),
                                        backward=d is ScanDirection.BACKWARD)).max()
         for d in (ScanDirection.FORWARD, ScanDirection.BACKWARD))
 

@@ -115,7 +115,7 @@ class TestDualPathBlock:
             wt.data = eye.copy()
         for bt in (p.local_b, p.global_b, p.out_b):
             bt.data = np.zeros(c)
-        for tensor in (p.ssm.A, p.ssm.B, p.ssm.C_mat, p.A_bwd, p.D_bwd, p.ssm.D):
+        for tensor in (p.A_fwd, p.B, p.C, p.A_bwd, p.D_bwd, p.D_fwd):
             tensor.data = np.zeros_like(tensor.data)
         p.gamma.data = np.array(0.8)
         x = Tensor(rng.normal(size=(c, h, w)))
@@ -172,12 +172,12 @@ class TestDualPathBlock:
         # backward scan adds only A/D for the C/T rows of one frame group
         c, t, n = 8, 2, 3
         p = self._block(np.random.default_rng(12), c=c, t=t, n=n)
-        assert p.ssm.channels == c
+        assert p.A_fwd.shape[0] == c
         assert p.A_bwd.shape == (c // t, n) and p.D_bwd.shape == (c // t,)
         names = p.tensors()
-        assert names["ssm.B"] is p.ssm.B and names["ssm.C"] is p.ssm.C_mat
+        assert names["ssm.B"] is p.B and names["ssm.C"] is p.C
         assert names["ssm.A_bwd"] is p.A_bwd and names["ssm.D_bwd"] is p.D_bwd
-        assert names["ssm.A_fwd"] is p.ssm.A and names["ssm.D_fwd"] is p.ssm.D
+        assert names["ssm.A_fwd"] is p.A_fwd and names["ssm.D_fwd"] is p.D_fwd
 
     def test_channels_not_divisible_rejected(self):
         rng = np.random.default_rng(13)

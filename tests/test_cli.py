@@ -46,6 +46,12 @@ class TestParams:
         bad.write_text("channels=100\nframe_count=16\n")
         assert main(["params", "--config", str(bad)]) == 2
 
+    def test_zero_channels_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("channels=0\n")
+        assert main(["params", "--config", str(bad)]) == 2
+        assert "channels: must be positive" in capsys.readouterr().err
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -111,6 +117,15 @@ class TestTrainToy:
         for line in lines:
             assert line.startswith("epoch=")
             assert "gate_telemetry=" in line
+
+    @pytest.mark.parametrize("args,field", [
+        (["--steps", "0"], "steps"),
+        (["--batch", "0"], "batch_size"),
+        (["--batch", "16", "--train-count", "8"], "batch_size"),
+    ])
+    def test_bad_run_arguments_are_usage_errors(self, toy_config, capsys, args, field):
+        assert main(["train-toy", "--config", toy_config, *args]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}:")
 
     def test_dump_weights(self, toy_config, tmp_path):
         wdir = tmp_path / "weights"

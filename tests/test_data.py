@@ -189,6 +189,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="channels"):
             parse_config("channels=100\nframe_count=16\n")
 
+    @pytest.mark.parametrize("channels", [0, -48])
+    def test_non_positive_channels_rejected(self, channels):
+        with pytest.raises(ConfigError, match="channels: must be positive"):
+            parse_config(f"channels={channels}\n")
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="not_a_key"):
             parse_config("not_a_key=3\n")

@@ -84,6 +84,18 @@ class TestForward:
         assert out.telemetry is None
 
 
+class TestOpCount:
+    # tape nodes for one train-mode sample, pinned: a change that adds ops to
+    # the forward pass must update these counts on purpose
+    @pytest.mark.parametrize("cfg,nodes", [(ModelConfig(), 215), (TOY, 173)],
+                             ids=["default", "toy"])
+    def test_tape_nodes_per_train_sample(self, cfg, nodes):
+        model = Model(cfg)
+        with Tape() as tape:
+            batch_loss(model, toy_samples(1, cfg=cfg), train=True)
+        assert len(tape) == nodes
+
+
 class TestParamCount:
     def test_breakdown_sums_to_total(self):
         for cfg in (TOY, TOY.replace(no_mgmi=True),
