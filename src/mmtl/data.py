@@ -14,13 +14,27 @@ On-disk layout per sample::
 
 Face and body views are crops of the inside view, cut by the boxes and
 resized (nearest neighbor) back to the view size.
+
+``load_sample_dir`` lists each view directory once and reads its
+``frame_*.t3tn`` files, in name order and once each, into one preallocated
+[T, 3, H, W] array: every frame of a view has the first frame's [3, H, W]
+shape. Pixels are clipped to [0, 1]. Views whose stored H x W differs from the
+config's view size are nearest-resized to it; the boxes index the stored inside
+frames, so face and body are cut before resizing. A sample is skipped with a
+warning when a file is missing or malformed: a view with no frames, a frame
+path that is a directory, a bad tensor or joints header, a truncated payload, a
+frame that is not [3, H, W] or not the shape of its view's first frame, or a
+boxes or labels file that is not the expected ASCII integers (boxes inside the
+frame and non-empty, labels within their task's classes).
 """
 
 from __future__ import annotations
 
+import fnmatch
 import hashlib
 import itertools
 import logging
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -31,7 +45,7 @@ from .blocks import EXTERIOR_VIEWS, INTERIOR_VIEWS, ViewSequence
 from .config import MODALITIES, TASKS, ModelConfig
 from .errors import ArgumentError, InputError
 from .joints import JointSequence
-from .serial import dump_joints, dump_tensor, load_joints, load_tensor
+from .serial import dump_joints, dump_tensor, load_joints, parse_tensor
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -160,10 +174,18 @@ def crop_resize(frames: np.ndarray, box: Tuple[int, int, int, int],
     return crop[:, :, rows][:, :, :, cols]
 
 
+def _resize_view(frames: np.ndarray, hv: int, wv: int) -> np.ndarray:
+    """Nearest-resize [T, 3, H, W] frames to hv x wv; frames of that size pass through."""
+    if frames.shape[2:] == (hv, wv):
+        return frames
+    return crop_resize(frames, (0, 0, frames.shape[3], frames.shape[2]), hv, wv)
+
+
 def _interior_views(inside: np.ndarray, boxes, hv: int, wv: int) -> Tuple[ViewSequence, ...]:
+    """Inside, face and body views of hv x wv; the boxes index ``inside`` as given."""
     face_box, body_box = boxes
     return (
-        ViewSequence("inside", inside),
+        ViewSequence("inside", _resize_view(inside, hv, wv)),
         ViewSequence("face", crop_resize(inside, face_box, hv, wv)),
         ViewSequence("body", crop_resize(inside, body_box, hv, wv)),
     )
@@ -332,63 +354,90 @@ def write_sample_dir(bundle: SampleBundle, root, sample_id: Optional[str] = None
     return base
 
 
-def _resize_view(frames: np.ndarray, hv: int, wv: int) -> np.ndarray:
-    return crop_resize(frames, (0, 0, frames.shape[3], frames.shape[2]), hv, wv)
-
-
-def _read_ints(text: str, count: int, what: str) -> Tuple[int, ...]:
-    """Exactly ``count`` whitespace-separated integers, else InputError."""
+def _read(path: str) -> bytes:
+    """One sample file's bytes; a missing file or a directory in its place is
+    an InputError, so the sample is skipped."""
     try:
-        values = tuple(int(v) for v in text.split())
+        with open(path, "rb", buffering=0) as fh:    # one read of the whole file
+            return fh.read()
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def _read_view(vdir: str) -> np.ndarray:
+    """A view's frame files, in name order, as one [T, 3, H, W] float64 array.
+
+    The directory is listed once and each file read once into a preallocated
+    array; the first frame fixes H and W and every later frame must match.
+    """
+    try:
+        names = sorted(fnmatch.filter(os.listdir(vdir), "frame_*.t3tn"))
+    except (FileNotFoundError, NotADirectoryError):
+        names = []
+    if not names:
+        raise InputError(f"no frames in {vdir}")
+    frames = None
+    for t, name in enumerate(names):
+        path = os.path.join(vdir, name)
+        frame = parse_tensor(path, _read(path))
+        if frames is None:
+            if frame.ndim != 3 or frame.shape[0] != 3:
+                raise InputError(f"{path}: frame is {list(frame.shape)}, not [3, H, W]")
+            frames = np.empty((len(names),) + frame.shape)
+        elif frame.shape != frames.shape[1:]:
+            raise InputError(f"{path}: frame is {list(frame.shape)}, the view's first "
+                             f"is {list(frames.shape[1:])}")
+        frames[t] = frame    # float32 -> float64 is exact
+    return frames
+
+
+def _read_ints(raw: bytes, count: int, what: str) -> Tuple[int, ...]:
+    """Exactly ``count`` whitespace-separated integers, else InputError.
+
+    ``int`` parses bytes as ASCII, so text in any other encoding fails here.
+    """
+    try:
+        values = tuple(int(v) for v in raw.split())
     except ValueError:
         values = ()
     if len(values) != count:
-        raise InputError(f"{what} needs {count} integers, got '{text.strip()}'")
+        raise InputError(f"{what} needs {count} integers, got "
+                         f"{raw.strip().decode(errors='replace')!r}")
     return values
 
 
-def _load_one_sample(base: Path, cfg: ModelConfig) -> SampleBundle:
+def _load_one_sample(base: str, cfg: ModelConfig) -> SampleBundle:
     hv, wv = cfg.view_height, cfg.view_width
+    sid = os.path.basename(base)
     views = {}
     for vid in STORED_VIEWS:
-        vdir = base / vid
-        frame_files = sorted(vdir.glob("frame_*.t3tn"))
-        if not frame_files:
-            raise InputError(f"{base.name}: no frames for view '{vid}'")
-        frames = np.stack([load_tensor(f).data for f in frame_files])
-        if frames.ndim != 4 or frames.shape[1] != 3:
-            raise InputError(f"{base.name}/{vid}: frames are {frames.shape}, not [T,3,H,W]")
-        views[vid] = np.clip(_resize_view(frames, hv, wv), 0.0, 1.0)
+        frames = _read_view(os.path.join(base, vid))
+        views[vid] = np.clip(frames, 0.0, 1.0, out=frames)
 
-    boxes_path = base / "boxes.txt"
-    if not boxes_path.exists():
-        raise InputError(f"{base.name}: missing boxes.txt")
-    lines = boxes_path.read_text().strip().splitlines()
+    lines = _read(os.path.join(base, "boxes.txt")).strip().splitlines()
     if len(lines) < 2:
-        raise InputError(f"{base.name}: boxes.txt needs face and body lines")
-    boxes = tuple(_read_ints(line, 4, f"{base.name}: boxes.txt line") for line in lines[:2])
+        raise InputError(f"{sid}: boxes.txt needs face and body lines")
+    boxes = tuple(_read_ints(line, 4, f"{sid}: boxes.txt line") for line in lines[:2])
 
-    joints_path = base / "joints.t3jt"
-    if not joints_path.exists():
-        raise InputError(f"{base.name}: missing joints.t3jt")
+    joints_path = os.path.join(base, "joints.t3jt")
+    if not os.path.isfile(joints_path):
+        raise InputError(f"{sid}: missing joints.t3jt")
     joints = load_joints(joints_path)
 
-    labels_path = base / "labels.txt"
-    if not labels_path.exists():
-        raise InputError(f"{base.name}: missing labels.txt")
-    raw = _read_ints(labels_path.read_text(), len(TASKS), f"{base.name}: labels.txt")
+    raw = _read_ints(_read(os.path.join(base, "labels.txt")), len(TASKS),
+                     f"{sid}: labels.txt")
     labels = dict(zip(TASKS, raw))
     for task, label in labels.items():
         if not 0 <= label < cfg.num_classes(task):
-            raise InputError(f"{base.name}: {task} label {label} not in "
+            raise InputError(f"{sid}: {task} label {label} not in "
                              f"[0, {cfg.num_classes(task)})")
 
     return SampleBundle(
-        exterior=tuple(ViewSequence(v, views[v]) for v in EXTERIOR_VIEWS),
+        exterior=tuple(ViewSequence(v, _resize_view(views[v], hv, wv)) for v in EXTERIOR_VIEWS),
         interior=_interior_views(views["inside"], boxes, hv, wv),
         joints=JointSequence(joints),
         labels=labels,
-        sample_id=base.name,
+        sample_id=sid,
     )
 
 
@@ -422,20 +471,22 @@ def load_sample_dir(root, fractions: Sequence[float] = (0.65, 0.15, 0.20),
 
     Samples are ordered by the stable hash of their id (file order never
     matters) and assigned contiguously using largest-remainder counts.
-    Samples with missing modality files are skipped with a warning.
+    Samples with missing or malformed files are skipped with a warning and
+    counted in ``skipped``.
     """
     cfg = config or ModelConfig()
-    base = Path(root)
-    sample_dirs = sorted([d for d in base.iterdir() if d.is_dir()]) if base.exists() else []
+    sample_ids = []
+    if os.path.exists(root):
+        sample_ids = sorted(e.name for e in os.scandir(root) if e.is_dir())
 
     loaded: List[SampleBundle] = []
     skipped = 0
-    for d in sample_dirs:
+    for sid in sample_ids:
         try:
-            loaded.append(_load_one_sample(d, cfg))
+            loaded.append(_load_one_sample(os.path.join(root, sid), cfg))
         except InputError as exc:
             skipped += 1
-            log.warning("skipping sample %s: %s", d.name, exc)
+            log.warning("skipping sample %s: %s", sid, exc)
 
     loaded.sort(key=lambda b: (stable_id_hash(b.sample_id), b.sample_id))
     n_train, n_val, n_test = split_sizes(len(loaded), fractions)

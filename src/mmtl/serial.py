@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -33,7 +32,15 @@ def dump_tensor(t: Tensor, path) -> None:
 
 
 def load_tensor(path) -> Tensor:
-    raw = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        return Tensor(parse_tensor(path, fh.read()).astype(np.float64))
+
+
+def parse_tensor(path, raw: bytes) -> np.ndarray:
+    """The float32 payload of tensor-file bytes, shaped by their header.
+
+    Every header and payload check lives here; ``path`` names the file in errors.
+    """
     if raw[:4] != TENSOR_MAGIC:
         raise InputError(f"{path}: bad tensor magic {raw[:4]!r}")
     if len(raw) < 5 or len(raw) < 5 + 4 * raw[4]:
@@ -41,7 +48,7 @@ def load_tensor(path) -> Tensor:
     rank = raw[4]
     header_end = 5 + 4 * rank
     dims = struct.unpack(f"<{rank}I", raw[5:header_end])
-    return Tensor(_payload(path, raw, header_end, math.prod(dims)).reshape(dims))
+    return _payload(path, raw, header_end, math.prod(dims)).reshape(dims)
 
 
 def dump_joints(joints: np.ndarray, path) -> None:
@@ -55,18 +62,19 @@ def dump_joints(joints: np.ndarray, path) -> None:
 
 
 def load_joints(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        raw = fh.read()
     if raw[:4] != JOINTS_MAGIC:
         raise InputError(f"{path}: bad joints magic {raw[:4]!r}")
     if len(raw) < 12:
         raise InputError(f"{path}: truncated joints header")
     t, j = struct.unpack("<II", raw[4:12])
-    return _payload(path, raw, 12, t * j * 3).reshape(t, j, 3)
+    return _payload(path, raw, 12, t * j * 3).astype(np.float64).reshape(t, j, 3)
 
 
 def _payload(path, raw: bytes, offset: int, count: int) -> np.ndarray:
-    """The float32 values after the header, widened; exactly ``count`` of them."""
+    """The float32 values after the header, exactly ``count`` of them."""
     if len(raw) - offset != 4 * count:
         raise InputError(f"{path}: payload has {len(raw) - offset} bytes, "
                          f"header says {count} values")
-    return np.frombuffer(raw, dtype="<f4", offset=offset).astype(np.float64)
+    return np.frombuffer(raw, dtype="<f4", offset=offset)

@@ -54,39 +54,42 @@ def _toy_config(seed: int) -> ModelConfig:
                        block_depth=1, joint_count=5, seed=seed)
 
 
-def _check_tensor_core(rng, tol, max_elements):
+def _check_tensor_core(rng, corrupt):
+    """Full per-element probes of the core ops (they are small). ``corrupt``
+    names a probe-local tensor, such as ``x`` or ``w``, whose analytic gradient
+    is perturbed in every probe that has one."""
     errors = {}
     x = param(rng.normal(size=(4, 3)))
     w = param(rng.normal(size=(4, 2)))
     errors.update({f"matmul.{k}": v for k, v in check_gradients(
-        lambda: tsum(ops.linear(x, w)), {"x": x, "w": w}).items()})
+        lambda: tsum(ops.linear(x, w)), {"x": x, "w": w}, corrupt=corrupt).items()})
 
     xc = param(rng.normal(size=(2, 6, 6)))
     wc = param(rng.normal(size=(3, 2, 3, 3)))
     bc = param(rng.normal(size=(3,)))
     errors.update({f"conv2d.{k}": v for k, v in check_gradients(
         lambda: tsum(ops.convolve(xc, wc, bc, stride=2, padding=1)),
-        {"x": xc, "w": wc, "b": bc}).items()})
+        {"x": xc, "w": wc, "b": bc}, corrupt=corrupt).items()})
 
     xd = param(rng.normal(size=(3, 5, 5)))
     wd = param(rng.normal(size=(3, 2, 3, 3)))
     errors.update({f"depthwise.{k}": v for k, v in check_gradients(
         lambda: tsum(ops.depthwise_conv2d(xd, wd, padding=1)),
-        {"x": xd, "w": wd}).items()})
+        {"x": xd, "w": wd}, corrupt=corrupt).items()})
 
     xs = param(rng.normal(size=(5, 9, 8)))
     ws = param(rng.normal(size=(5, 2, 3, 2)))
     ps = rng.normal(size=(10, 5, 5))
     errors.update({f"depthwise_s2.{k}": v for k, v in check_gradients(
         lambda: _weighted_sum(ops.depthwise_conv2d(xs, ws, stride=2, padding=1), ps),
-        {"x": xs, "w": ws}).items()})
+        {"x": xs, "w": ws}, corrupt=corrupt).items()})
 
     x1 = param(rng.normal(size=(16, 24)))          # the block's [L, C] layout
     w1 = param(rng.normal(size=(16, 16, 3)))
     p1 = rng.normal(size=(16, 24))
     errors.update({f"conv1d.{k}": v for k, v in check_gradients(
         lambda: _weighted_sum(ops.convolve(x1, w1, padding=1), p1),
-        {"x": x1, "w": w1}).items()})
+        {"x": x1, "w": w1}, corrupt=corrupt).items()})
 
     x3 = param(rng.normal(size=(1, 16, 17, 3)))    # the joints' [1, T, J, 3] volume
     w3 = param(rng.normal(size=(2, 1, 3, 3, 3)))
@@ -94,28 +97,28 @@ def _check_tensor_core(rng, tol, max_elements):
     errors.update({f"conv3d_pool.{k}": v for k, v in check_gradients(
         lambda: _weighted_sum(ops.avg_pool(ops.convolve(x3, w3, padding=1), (2, 2, 1),
                                            stride=(2, 2, 1)), p3),
-        {"x": x3, "w": w3}).items()})
+        {"x": x3, "w": w3}, corrupt=corrupt).items()})
 
     xp = param(rng.normal(size=(2, 6, 6)))
     errors.update({f"pool.{k}": v for k, v in check_gradients(
         lambda: tsum(ops.adaptive_avg_pool(ops.avg_pool(xp, 3, stride=1, padding=1),
-                                           (2, 2))), {"x": xp}).items()})
+                                           (2, 2))), {"x": xp}, corrupt=corrupt).items()})
     xq = param(rng.normal(size=(2, 9, 7)))
     pq = rng.normal(size=(2, 5, 4))
     errors.update({f"pool_s2.{k}": v for k, v in check_gradients(
         lambda: _weighted_sum(ops.avg_pool(xq, 3, stride=2, padding=1), pq),
-        {"x": xq}).items()})
+        {"x": xq}, corrupt=corrupt).items()})
 
     xg = param(rng.normal(size=(2, 7, 7)))         # the block's global path
     pg = rng.normal(size=(2, 7, 7))
     errors.update({f"pool_global.{k}": v for k, v in check_gradients(
         lambda: _weighted_sum(ops.expand_bins(ops.adaptive_avg_pool(xg, (3, 3)), (7, 7)), pg),
-        {"x": xg}).items()})
+        {"x": xg}, corrupt=corrupt).items()})
 
     xa = param(rng.normal(size=(2, 5)))
     errors.update({f"activations.{k}": v for k, v in check_gradients(
         lambda: tsum(ops.softmax(ops.gelu(ops.sigmoid(xa)), axis=1)),
-        {"x": xa}).items()})
+        {"x": xa}, corrupt=corrupt).items()})
 
     xb = param(rng.normal(size=(4, 3, 3)))
     sc = param(rng.normal(size=(4,)))
@@ -125,7 +128,7 @@ def _check_tensor_core(rng, tol, max_elements):
         return tsum(ops.batchnorm(xb, sc, sh, ops.RunningStats(4), train=True))
 
     errors.update({f"batchnorm.{k}": v for k, v in check_gradients(
-        bn_probe, {"x": xb, "scale": sc, "shift": sh}).items()})
+        bn_probe, {"x": xb, "scale": sc, "shift": sh}, corrupt=corrupt).items()})
     return errors
 
 
@@ -148,7 +151,7 @@ def gradcheck_run(selector: str, tolerance: float = 1e-4, seed: int = 0,
         cfg = _toy_config(seed)
         kw = dict(max_elements=max_elements, rng=rng, corrupt=corrupt)
         if s == "tensor-core":
-            errors = _check_tensor_core(rng, tolerance, max_elements)
+            errors = _check_tensor_core(rng, corrupt)
         elif s == "ssm":
             # 5 parameter rows against 3 channels of x: the scan reads and
             # trains the leading rows, the gate all of them, as in a block

@@ -2,6 +2,8 @@
 the on-disk sample layout.
 """
 
+import builtins
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mmtl.config import ModelConfig, parse_config
-from mmtl.data import SyntheticRecipe, augment, \
+from mmtl.data import SyntheticRecipe, augment, crop_resize, default_boxes, \
     generate_synthetic, load_sample_dir, split_sizes, stable_id_hash, \
     template_predict, write_sample_dir
 from mmtl.errors import ArgumentError, ConfigError, InputError
@@ -219,6 +221,28 @@ class TestConfig:
             ModelConfig(drop_modalities=("exterior", "interior", "joints"))
 
 
+def _rounded(a: np.ndarray) -> np.ndarray:
+    """What the float32 file format keeps of a float64 array."""
+    return a.astype(np.float32).astype(np.float64)
+
+
+def _rewrite(path, edit):
+    path.write_bytes(edit(path.read_bytes()))
+
+
+# one damaged frame file in a view directory; each must skip only its sample
+FRAME_FAULTS = {
+    "later_frame_other_shape": lambda v: dump_tensor(Tensor(np.zeros((3, 8, 8))),
+                                                     v / "frame_002.t3tn"),
+    "directory_named_as_frame": lambda v: (v / "frame_999.t3tn").mkdir(),
+    "bad_magic": lambda v: _rewrite(v / "frame_000.t3tn", lambda raw: b"NOPE" + raw[4:]),
+    "rank_2": lambda v: dump_tensor(Tensor(np.zeros((12, 12))), v / "frame_000.t3tn"),
+    "four_channels": lambda v: dump_tensor(Tensor(np.zeros((4, 12, 12))),
+                                           v / "frame_000.t3tn"),
+    "truncated_payload": lambda v: _rewrite(v / "frame_001.t3tn", lambda raw: raw[:-4]),
+}
+
+
 class TestSampleDir:
     def test_empty_directory(self, tmp_path):
         streams = load_sample_dir(tmp_path, config=TOY)
@@ -246,6 +270,36 @@ class TestSampleDir:
             npt.assert_allclose(back.view(vid).frames, bundle.view(vid).frames,
                                 atol=1e-6)
         npt.assert_allclose(back.joints.joints, bundle.joints.joints, atol=1e-6)
+
+    def test_roundtrip_exact(self, tmp_path):
+        # a loaded array is the float32-rounded write, clipped, with no other change
+        bundle = next(iter(generate_synthetic(SyntheticRecipe(noise=0.1), 1, 12, TOY)))
+        write_sample_dir(bundle, tmp_path)
+        [back] = load_sample_dir(tmp_path, fractions=(1.0, 0.0, 0.0), config=TOY).train
+        for vid in ("front", "left", "right", "inside"):
+            assert np.array_equal(back.view(vid).frames,
+                                  np.clip(_rounded(bundle.view(vid).frames), 0.0, 1.0))
+        inside = np.clip(_rounded(bundle.view("inside").frames), 0.0, 1.0)
+        hv, wv = TOY.view_height, TOY.view_width
+        for vid, box in zip(("face", "body"), default_boxes(hv, wv)):
+            assert np.array_equal(back.view(vid).frames, crop_resize(inside, box, hv, wv))
+        assert np.array_equal(back.joints.joints, _rounded(bundle.joints.joints))
+
+    def test_resized_on_load(self, tmp_path):
+        big = TOY.replace(view_height=16, view_width=16)
+        bundle = next(iter(generate_synthetic(SyntheticRecipe(noise=0.1), 1, 17, big)))
+        write_sample_dir(bundle, tmp_path)
+        small = TOY.replace(view_height=8, view_width=8)
+        streams = load_sample_dir(tmp_path, fractions=(1.0, 0.0, 0.0), config=small)
+        assert streams.skipped == 0
+        [back] = streams.train
+        for vid in ("front", "left", "right", "inside"):
+            stored = np.clip(_rounded(bundle.view(vid).frames), 0.0, 1.0)
+            assert np.array_equal(back.view(vid).frames, stored[:, :, ::2, ::2])
+        # the boxes index the stored 16 x 16 frames: face and body are cut there
+        inside = np.clip(_rounded(bundle.view("inside").frames), 0.0, 1.0)
+        for vid, box in zip(("face", "body"), default_boxes(16, 16)):
+            assert np.array_equal(back.view(vid).frames, crop_resize(inside, box, 8, 8))
 
     def test_twenty_samples_split_13_3_4(self, tmp_path):
         rec = SyntheticRecipe(noise=0.1)
@@ -285,16 +339,47 @@ class TestSampleDir:
         ("boxes.txt", "3 0 9 6\n0 6 13 12\n"),     # corner past the frame edge
         ("boxes.txt", "-4 0 9 6\n0 6 12 12\n"),    # negative corner
         ("boxes.txt", "3 0 3 6\n0 6 12 12\n"),     # empty box, x1 == x0
+        ("labels.txt", "\xff\xfe 1 2\n"),           # not UTF-8 (nor ASCII)
+        ("boxes.txt", "\xff\xfe 1 2\n"),
     ])
     def test_malformed_text_file_skipped(self, tmp_path, name, text):
         rec = SyntheticRecipe(noise=0.1)
         bundles = list(generate_synthetic(rec, 3, 16, TOY))
         for b in bundles:
             write_sample_dir(b, tmp_path)
-        (tmp_path / bundles[1].sample_id / name).write_text(text)
+        # latin-1 writes each character as the byte of its code, so "\xff" is 0xff
+        (tmp_path / bundles[1].sample_id / name).write_bytes(text.encode("latin-1"))
         streams = load_sample_dir(tmp_path, config=TOY)
         assert streams.skipped == 1
         assert len(streams.train) + len(streams.val) + len(streams.test) == 2
+
+    @pytest.mark.parametrize("fault", sorted(FRAME_FAULTS))
+    def test_malformed_frame_file_skipped(self, tmp_path, fault):
+        bundles = list(generate_synthetic(SyntheticRecipe(noise=0.1), 3, 18, TOY))
+        for b in bundles:
+            write_sample_dir(b, tmp_path)
+        FRAME_FAULTS[fault](tmp_path / bundles[1].sample_id / "front")
+        streams = load_sample_dir(tmp_path, config=TOY)
+        assert streams.skipped == 1
+        assert len(streams.train) + len(streams.val) + len(streams.test) == 2
+
+    def test_each_sample_file_opened_once(self, tmp_path, monkeypatch):
+        cfg = TOY.replace(frame_count=8)
+        for b in generate_synthetic(SyntheticRecipe(noise=0.1), 3, 19, cfg):
+            write_sample_dir(b, tmp_path)
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        streams = load_sample_dir(tmp_path, config=cfg)
+        monkeypatch.undo()
+        assert streams.skipped == 0
+        # per sample: 4 stored views x 8 frames, boxes.txt, joints.t3jt, labels.txt
+        assert len(opened) == 3 * (4 * 8 + 3) == len(set(opened))
 
     def test_malformed_frame_header_raises_on_direct_load(self, tmp_path):
         (tmp_path / "x.t3tn").write_bytes(b"XXXX")

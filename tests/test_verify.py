@@ -23,6 +23,12 @@ class TestGradcheckRun:
         assert report.failures == ["feat"]
         assert "FAIL" in report.lines()
 
+    def test_tensor_core_corrupted_gradient_fails(self):
+        [report] = gradcheck_run("tensor-core", seed=0, corrupt="x")
+        assert not report.passed
+        assert "matmul.x" in report.failures
+        assert all(name.endswith(".x") for name in report.failures)
+
     def test_report_lines_name_every_tensor(self):
         [report] = gradcheck_run("ssm", seed=1)
         rows = report.lines().splitlines()[1:]
