@@ -1,7 +1,7 @@
 """Multi-view stem and the dual-path temporal-spatial block.
 
 The stem turns each view's frame sequence into a channel block of a shared
-[C, H, W] feature map, keeping channels grouped by frame so the temporal
+[N, C, H, W] feature map, keeping channels grouped by frame so the temporal
 axis can be recovered downstream (channel c belongs to frame c // (C/T)).
 
 The block runs two scan paths over the frame groups - a forward scan feeding
@@ -90,29 +90,37 @@ def init_stem(view_ids: Sequence[str], frame_count: int, out_channels: int,
                       frame_count, out_channels, height, width)
 
 
-def stem(views: Sequence[ViewSequence], p: StemParams) -> Tensor:
-    """Fuse one branch's views into a frame-major [C, H, W] feature map."""
-    by_id = {v.view_id: v for v in views}
-    missing = [vid for vid in p.view_ids if vid not in by_id]
-    if missing:
-        raise InputError(f"stem: missing view(s) {missing}")
+def stem(views: Sequence[Sequence[ViewSequence]], p: StemParams) -> Tensor:
+    """Fuse one branch's views into a frame-major [N, C, H, W] feature map;
+    ``views[n]`` holds sample n's views, and every sample's frames of one view
+    share one shape."""
+    by_id = [{v.view_id: v for v in sample} for sample in views]
+    for i, sample in enumerate(by_id):
+        missing = [vid for vid in p.view_ids if vid not in sample]
+        if missing:
+            raise InputError(f"stem: sample {i} is missing view(s) {missing}")
+    n = len(by_id)
     t = p.frame_count
     v = len(p.view_ids)
     cpf = p.out_channels // (v * t)
 
     feats = []
     for i, vid in enumerate(p.view_ids):
-        frames = by_id[vid].frames
-        if frames.shape[0] != t:
-            raise InputError(f"view {vid}: {frames.shape[0]} frames, expected {t}")
-        hv, wv = frames.shape[2], frames.shape[3]
+        frames = [sample[vid].frames for sample in by_id]
+        for f in frames:
+            if f.shape[0] != t:
+                raise InputError(f"view {vid}: {f.shape[0]} frames, expected {t}")
+        hv, wv = frames[0].shape[2], frames[0].shape[3]
         # center [0, 1] pixels so downstream features carry no common-mode DC;
         # no padding, so constant frames map to exactly constant features
-        x = Tensor((frames - 0.5).reshape(3 * t, hv, wv))
-        x = depthwise_conv2d(x, p.depthwise_w[i], p.depthwise_b[i])
+        x = np.empty((n,) + frames[0].shape)
+        for k, f in enumerate(frames):
+            np.subtract(f, 0.5, out=x[k])
+        x = depthwise_conv2d(Tensor(x.reshape(n, 3 * t, hv, wv)),
+                             p.depthwise_w[i], p.depthwise_b[i])
         x = gelu(grouped_pointwise(x, p.pointwise_w[i], p.pointwise_b[i]))
         feats.append(adaptive_avg_pool(x, (p.height, p.width)))
-    cat = concat(feats, axis=0)                  # layout [view][frame][cpf]
+    cat = concat(feats, axis=1)                  # layout [view][frame][cpf]
 
     # reorder to frame-major [frame][view][cpf] so frame groups are contiguous
     perm = np.arange(p.out_channels).reshape(v, t, cpf).transpose(1, 0, 2).reshape(-1)
@@ -121,7 +129,7 @@ def stem(views: Sequence[ViewSequence], p: StemParams) -> Tensor:
 
 @dataclass
 class BlockParams:
-    """Weights of one dual-path block operating on [C, H, W]."""
+    """Weights of one dual-path block operating on [N, C, H, W]."""
 
     conv1d_w: Tensor            # [L, L, 3]; positions as channels, C as length
     conv1d_b: Tensor
@@ -183,10 +191,10 @@ def init_block(channels: int, frame_count: int, height: int, width: int,
 def dual_path_block(x: Tensor, p: BlockParams,
                     single_direction: bool = False,
                     local_only: bool = False) -> Tensor:
-    """One block application. ``single_direction`` disables the backward scan
-    (both paths scan forward); ``local_only`` replaces the global path's
-    coarse pooling with the local 3x3 pooling."""
-    c, h, w = x.shape
+    """One block application to x [N, C, H, W]. ``single_direction`` disables
+    the backward scan (both paths scan forward); ``local_only`` replaces the
+    global path's coarse pooling with the local 3x3 pooling."""
+    n, c, h, w = x.shape
     t = p.frame_count
     if c % t != 0:
         raise ConfigError(f"block: channels {c} not divisible by frame count {t}")
@@ -194,19 +202,19 @@ def dual_path_block(x: Tensor, p: BlockParams,
     spatial = h * w
 
     # shared enhancement: 1-d conv along the channel axis, positions as channels
-    z = transpose(reshape(x, (c, spatial)), (1, 0))           # [L, C]
+    z = transpose(reshape(x, (n, c, spatial)), (0, 2, 1))        # [N, L, C]
     z = convolve(z, p.conv1d_w, p.conv1d_b, padding=1)
     z = gelu(z)
-    seq = reshape(transpose(z, (1, 0)), (t, group, spatial))  # [T, C', L]
+    seq = reshape(transpose(z, (0, 2, 1)), (n, t, group, spatial))  # [N, T, C', L]
 
     local_seq = scan(seq, p.A_fwd, p.B, p.C, p.D_fwd, ScanDirection.FORWARD)
-    local_map = reshape(local_seq, (c, h, w))
+    local_map = reshape(local_seq, (n, c, h, w))
     local_map = avg_pool(local_map, 3, stride=1, padding=1)
     local_feat = linear(local_map, p.local_w, p.local_b)
 
     bwd_dir = ScanDirection.FORWARD if single_direction else ScanDirection.BACKWARD
     global_seq = scan(seq, p.A_bwd, p.B, p.C, p.D_bwd, bwd_dir)
-    global_map = reshape(global_seq, (c, h, w))
+    global_map = reshape(global_seq, (n, c, h, w))
     if local_only:
         global_map = avg_pool(global_map, 3, stride=1, padding=1)
     else:

@@ -25,7 +25,9 @@ warning when a file is missing or malformed: a view with no frames, a frame
 path that is a directory, a bad tensor or joints header, a truncated payload, a
 frame that is not [3, H, W] or not the shape of its view's first frame, or a
 boxes or labels file that is not the expected ASCII integers (boxes inside the
-frame and non-empty, labels within their task's classes).
+frame and non-empty, labels within their task's classes), or a view or joints
+file whose frame count, or a joints file whose joint count, is not the
+config's: the model batches samples, so each must have the config's shapes.
 """
 
 from __future__ import annotations
@@ -412,6 +414,9 @@ def _load_one_sample(base: str, cfg: ModelConfig) -> SampleBundle:
     views = {}
     for vid in STORED_VIEWS:
         frames = _read_view(os.path.join(base, vid))
+        if len(frames) != cfg.frame_count:
+            raise InputError(f"{sid}: view {vid} has {len(frames)} frames, not the "
+                             f"config's {cfg.frame_count}")
         views[vid] = np.clip(frames, 0.0, 1.0, out=frames)
 
     lines = _read(os.path.join(base, "boxes.txt")).strip().splitlines()
@@ -423,6 +428,10 @@ def _load_one_sample(base: str, cfg: ModelConfig) -> SampleBundle:
     if not os.path.isfile(joints_path):
         raise InputError(f"{sid}: missing joints.t3jt")
     joints = load_joints(joints_path)
+    if joints.shape[:2] != (cfg.frame_count, cfg.joint_count):
+        raise InputError(f"{sid}: joints.t3jt holds {joints.shape[0]} frames of "
+                         f"{joints.shape[1]} joints, not the config's {cfg.frame_count} "
+                         f"of {cfg.joint_count}")
 
     raw = _read_ints(_read(os.path.join(base, "labels.txt")), len(TASKS),
                      f"{sid}: labels.txt")

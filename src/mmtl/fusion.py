@@ -29,7 +29,7 @@ NUM_TASKS = len(TASKS)
 
 @dataclass
 class ModalityFeatures:
-    """The three modality feature maps, all [C, H, W]."""
+    """The three modality feature maps, all [N, C, H, W]."""
 
     h1: Tensor  # exterior branch
     h2: Tensor  # interior branch
@@ -103,16 +103,16 @@ def init_gate_params(channels: int, rng: np.random.Generator,
 
 
 def shared_attention(m: ModalityFeatures, p: GateParams) -> Tensor:
-    """Task-shared feature: self-attention over channels of the fused map."""
-    c, h, w = m.h1.shape
+    """Task-shared feature: self-attention over channels of each sample's fused map."""
+    n, c, h, w = m.h1.shape
     d = h * w
-    cat = concat(m.as_list(), axis=0)
-    q = reshape(convolve(cat, p.wq, p.bq), (c, d))
-    k = reshape(convolve(cat, p.wk, p.bk), (c, d))
-    v = reshape(convolve(cat, p.wv, p.bv), (c, d))
-    scores = scale(matmul(q, transpose(k, (1, 0))), 1.0 / math.sqrt(d))
-    attn = softmax(scores, axis=1)
-    return reshape(matmul(attn, v), (c, h, w))
+    cat = concat(m.as_list(), axis=1)
+    q = reshape(convolve(cat, p.wq, p.bq), (n, c, d))
+    k = reshape(convolve(cat, p.wk, p.bk), (n, c, d))
+    v = reshape(convolve(cat, p.wv, p.bv), (n, c, d))
+    scores = scale(matmul(q, transpose(k, (0, 2, 1))), 1.0 / math.sqrt(d))
+    attn = softmax(scores, axis=2)
+    return reshape(matmul(attn, v), (n, c, h, w))
 
 
 def mean_fallback(m: ModalityFeatures) -> Tensor:
@@ -121,15 +121,15 @@ def mean_fallback(m: ModalityFeatures) -> Tensor:
 
 
 def task_gates(s: Tensor, p: GateParams, r: int, train: bool = True) -> List[Tensor]:
-    """The three modality gate maps for task r, each [C, H, W], values in (0, 1)."""
+    """The three modality gate maps for task r, each [N, C, H, W], values in (0, 1)."""
     if not 0 <= r < p.num_gates:
         raise ArgumentError(f"task index {r} out of range for {p.num_gates} gate units")
-    c, h, w = s.shape
-    pre = depthwise_conv2d(s, p.gate_w[r], p.gate_b[r], padding=1)   # [3C] c-major
+    n, c, h, w = s.shape
+    pre = depthwise_conv2d(s, p.gate_w[r], p.gate_b[r], padding=1)   # [N, 3C] c-major
     pre = batchnorm(pre, p.bn_scale[r], p.bn_shift[r], p.bn_stats[r], train=train)
     g = sigmoid(pre)
-    g = reshape(g, (c, 3, h, w))
-    return [reshape(narrow(g, 1, i, 1), (c, h, w)) for i in range(NUM_MODALITIES)]
+    g = reshape(g, (n, c, 3, h, w))
+    return [reshape(narrow(g, 2, i, 1), (n, c, h, w)) for i in range(NUM_MODALITIES)]
 
 
 def _gated_sum(m: ModalityFeatures, gates: List[Tensor]) -> Tensor:
@@ -144,16 +144,21 @@ def task_fuse(m: ModalityFeatures, s: Tensor, p: GateParams, r: int,
 
 def fuse_all(m: ModalityFeatures, p: GateParams, train: bool = True,
              num_tasks: int = NUM_TASKS) -> Tuple[List[Tensor], np.ndarray]:
-    """All task features plus the mean-gate telemetry matrix [tasks, modalities]."""
+    """All task features plus each sample's mean-gate telemetry matrix,
+    [N, tasks, modalities]."""
     s = shared_attention(m, p) if p.wq is not None else mean_fallback(m)
-    feats = []
-    telemetry = np.zeros((num_tasks, NUM_MODALITIES))
+    feats, maps = [], []
     for r in range(num_tasks):
-        gate_idx = r if p.num_gates > 1 else 0
-        gates = task_gates(s, p, gate_idx, train=train)
-        telemetry[r] = [float(g.data.mean()) for g in gates]
-        feats.append(_gated_sum(m, gates))
-    return feats, telemetry
+        # a single gate unit serves every task: run it (and update its batch
+        # norm's running statistics) once, and share the fused feature
+        if r < p.num_gates:
+            gates = task_gates(s, p, r, train=train)
+            fused = _gated_sum(m, gates)
+        feats.append(fused)
+        maps.append([g.data for g in gates])
+    n = s.shape[0]
+    telemetry = np.array(maps).reshape(num_tasks, NUM_MODALITIES, n, -1).mean(axis=3)
+    return feats, telemetry.transpose(2, 0, 1)
 
 
 @dataclass
@@ -175,4 +180,4 @@ def init_concat_fuse(channels: int, rng: np.random.Generator) -> ConcatFuseParam
 
 
 def concat_fuse(m: ModalityFeatures, p: ConcatFuseParams) -> Tensor:
-    return convolve(concat(m.as_list(), axis=0), p.w, p.b)
+    return convolve(concat(m.as_list(), axis=1), p.w, p.b)

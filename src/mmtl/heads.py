@@ -41,25 +41,28 @@ def init_head(channels: int, num_classes: int) -> HeadParams:
 
 
 def head_forward(feature: Tensor, p: HeadParams) -> Tensor:
-    """Global average pool over the spatial grid, then a linear classifier."""
-    c = feature.shape[0]
-    pooled = reshape(adaptive_avg_pool(feature, (1, 1)), (c,))
+    """Global average pool over the spatial grid, then a linear classifier:
+    [N, C, H, W] -> logits [N, K]."""
+    n, c = feature.shape[:2]
+    pooled = reshape(adaptive_avg_pool(feature, (1, 1)), (n, c))
     return linear(pooled, p.weight, p.bias)
 
 
-def total_loss(logits: Sequence[Tensor], labels: Sequence[int],
+def total_loss(logits: Sequence[Tensor], labels: Sequence[Sequence[int]],
                specs: Optional[Sequence[TaskSpec]] = None) -> Tensor:
-    """Unweighted sum of per-task cross-entropies."""
+    """Mean over the batch of the unweighted sum of per-task cross-entropies:
+    logits[i] is task i's [N, K] and labels[i] its N labels."""
     if len(logits) != len(labels):
-        raise ArgumentError(f"{len(logits)} logit vectors vs {len(labels)} labels")
-    for i, (lg, y) in enumerate(zip(logits, labels)):
-        k = lg.shape[0]
-        if not 0 <= int(y) < k:
+        raise ArgumentError(f"{len(logits)} logit matrices vs {len(labels)} label lists")
+    for i, (lg, ys) in enumerate(zip(logits, labels)):
+        k = lg.shape[1]
+        bad = [int(y) for y in ys if not 0 <= int(y) < k]
+        if bad:
             name = specs[i].task_id if specs else f"task {i}"
-            raise InputError(f"{name}: label {y} out of range for {k} classes")
-    out = cross_entropy(logits[0], int(labels[0]))
-    for lg, y in zip(logits[1:], labels[1:]):
-        out = add(out, cross_entropy(lg, int(y)))
+            raise InputError(f"{name}: label {bad[0]} out of range for {k} classes")
+    out = cross_entropy(logits[0], labels[0])
+    for lg, ys in zip(logits[1:], labels[1:]):
+        out = add(out, cross_entropy(lg, ys))
     return out
 
 

@@ -1,5 +1,5 @@
 """Joint-sequence branch: a small 3-d CNN over [T, J, 3] pose volumes,
-projected to the same [C, H, W] shape as the image branches so the fusion
+projected to the same [N, C, H, W] shape as the image branches so the fusion
 stage can treat all modalities uniformly. A batchnorm after the second conv
 keeps this branch's output scale comparable to the image branches despite
 the tiny numeric range of joint coordinates.
@@ -8,6 +8,7 @@ the tiny numeric range of joint coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -81,18 +82,20 @@ def init_joint_branch(joint_count: int, out_channels: int, height: int, width: i
     )
 
 
-def joints_forward(seq: JointSequence, p: JointBranchParams,
+def joints_forward(seqs: Sequence[JointSequence], p: JointBranchParams,
                    train: bool = True) -> Tensor:
-    """[T, J, 3] -> [C, H, W], constant over the spatial grid."""
-    if seq.joint_count != p.joint_count:
-        raise InputError(f"joint count {seq.joint_count} != configured {p.joint_count}")
-    t, j, _ = seq.joints.shape
-    x = Tensor(seq.joints.reshape(1, t, j, 3))
+    """N sequences of [T, J, 3], all of one shape -> [N, C, H, W], constant
+    over the spatial grid."""
+    for seq in seqs:
+        if seq.joint_count != p.joint_count:
+            raise InputError(f"joint count {seq.joint_count} != configured {p.joint_count}")
+    n = len(seqs)
+    x = Tensor(np.stack([seq.joints for seq in seqs])[:, None])   # [N, 1, T, J, 3]
     x = gelu(convolve(x, p.conv1_w, p.conv1_b, padding=1))
     x = avg_pool(x, (2, 2, 1), stride=(2, 2, 1))
     x = convolve(x, p.conv2_w, p.conv2_b, padding=1)
     x = gelu(batchnorm(x, p.bn_scale, p.bn_shift, p.bn_stats, train=train))
     x = adaptive_avg_pool(x, (2, 2, 1))
-    x = reshape(x, (32 * 4,))
+    x = reshape(x, (n, 32 * 4))
     x = linear(x, p.proj_w, p.proj_b)
     return tile_spatial(x, (p.height, p.width))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -24,17 +24,17 @@ from .heads import HeadParams, TaskSpec, head_forward, init_head
 from .joints import JointBranchParams, init_joint_branch, joints_forward
 from .ops import RunningStats
 from .serial import dump_tensor, load_tensor
-from .tensor import Tensor, zeros
+from .tensor import Tensor, reshape, zeros
 
 
 @dataclass
 class ForwardResult:
-    logits: Dict[str, Tensor]
-    telemetry: Optional[np.ndarray]   # [4, 3] mean gate weights, or None
+    logits: Dict[str, Tensor]         # per task [N, K]; [K] from forward_sample
+    telemetry: Optional[np.ndarray]   # mean gate weights [N, tasks, 3] ([tasks, 3]), or None
 
 
 class Model:
-    """Parameter container plus the per-sample forward pass."""
+    """Parameter container plus the batched forward pass."""
 
     def __init__(self, config: ModelConfig):
         config.validate()
@@ -126,25 +126,53 @@ class Model:
     # -- forward ------------------------------------------------------------
 
     def _branch(self, views, stem_p, blocks) -> Tensor:
-        feat = stem(list(views), stem_p)
+        feat = stem(views, stem_p)
         return block_stack(feat, blocks,
                            single_direction=self.config.no_dual_scan,
                            local_only=self.config.no_global_local)
 
-    def forward_sample(self, bundle: SampleBundle, train: bool = False) -> ForwardResult:
+    def _input_shapes(self, bundle: SampleBundle) -> List[tuple]:
+        """(name, shape) of each array of ``bundle`` that the forward pass reads."""
+        views = []
+        if self.stem_exterior is not None:
+            views += bundle.exterior
+        if self.stem_interior is not None:
+            views += bundle.interior
+        shapes = [(v.view_id, v.frames.shape) for v in views]
+        if self.joint_branch is not None:
+            shapes.append(("joints", bundle.joints.joints.shape))
+        return shapes
+
+    def _check_batch(self, batch: Sequence[SampleBundle]) -> None:
+        if not batch:
+            raise InputError("forward: empty batch")
+        first = self._input_shapes(batch[0]) if len(batch) > 1 else []
+        for i, bundle in enumerate(batch[1:], start=1):
+            for (name, shape), (_, want) in zip(self._input_shapes(bundle), first):
+                if shape != want:
+                    raise InputError(
+                        f"forward: sample {i} ({bundle.sample_id or 'unnamed'}) has "
+                        f"{name} {list(shape)}, not {list(want)} as the batch's first")
+
+    def forward(self, batch: Sequence[SampleBundle], train: bool = False) -> ForwardResult:
+        """One forward pass over a batch of samples whose arrays share their
+        shapes; every op carries the batch on axis 0."""
+        self._check_batch(batch)
         cfg = self.config
-        shape = (cfg.channels, cfg.height, cfg.width)
+        shape = (len(batch), cfg.channels, cfg.height, cfg.width)
 
         if self.stem_exterior is not None:
-            h1 = self._branch(bundle.exterior, self.stem_exterior, self.blocks_exterior)
+            h1 = self._branch([b.exterior for b in batch], self.stem_exterior,
+                              self.blocks_exterior)
         else:
             h1 = zeros(shape)
         if self.stem_interior is not None:
-            h2 = self._branch(bundle.interior, self.stem_interior, self.blocks_interior)
+            h2 = self._branch([b.interior for b in batch], self.stem_interior,
+                              self.blocks_interior)
         else:
             h2 = zeros(shape)
         if self.joint_branch is not None:
-            h3 = joints_forward(bundle.joints, self.joint_branch, train=train)
+            h3 = joints_forward([b.joints for b in batch], self.joint_branch, train=train)
         else:
             h3 = zeros(shape)
 
@@ -159,6 +187,14 @@ class Model:
         logits = {spec.task_id: head_forward(feats[i], self.heads[spec.task_id])
                   for i, spec in enumerate(self.task_specs)}
         return ForwardResult(logits=logits, telemetry=telemetry)
+
+    def forward_sample(self, bundle: SampleBundle, train: bool = False) -> ForwardResult:
+        """``forward`` on a batch of one, without the batch axis: logits [K]
+        per task and telemetry [tasks, 3]."""
+        out = self.forward([bundle], train=train)
+        return ForwardResult(
+            logits={task: reshape(lg, lg.shape[1:]) for task, lg in out.logits.items()},
+            telemetry=None if out.telemetry is None else out.telemetry[0])
 
     # -- weight dump / load --------------------------------------------------
 

@@ -1,18 +1,19 @@
 """Neural-network primitives on Tensor: convolutions, pooling, activations,
 batch normalization, linear maps, and cross-entropy.
 
-Layout convention is channels-first with no batch axis: a feature map is
-[C, H, W], a volume is [C, D, H, W], a sequence is [C, L]. Every op follows
-it, the channel maps included: ``linear`` and ``grouped_pointwise`` mix the
-leading axis and keep the trailing axes as they are. Convolutions use
-the cross-correlation convention (no kernel flip) and zero padding; output
-spatial size is floor((in + 2*pad - k)/stride) + 1.
+Layout convention is batch-first, then channels: a batch of feature maps is
+[N, C, H, W], of volumes [N, C, D, H, W], of sequences [N, C, L]. Every op
+follows it and treats the N samples independently, the channel maps included:
+``linear`` and ``grouped_pointwise`` mix axis 1 and keep the trailing axes as
+they are. Convolutions use the cross-correlation convention (no kernel flip)
+and zero padding; output spatial size is floor((in + 2*pad - k)/stride) + 1.
 
 The convolutions share one im2col pair: ``_windows`` builds columns
-[C, k, *out], one contiguous copy per kernel offset, and ``_unwindow`` is its
-adjoint for the backward pass. Pooling (avg_pool, adaptive_avg_pool,
-expand_bins) is a fixed linear map along each spatial axis: one averaging
-matrix per axis, applied axis by axis, with the transposes in the backward.
+[C, k, N, *out], one contiguous copy per kernel offset, so a convolution is one
+matmul over all N x output positions; ``_unwindow`` is its adjoint for the
+backward pass. Pooling (avg_pool, adaptive_avg_pool, expand_bins) is a fixed
+linear map along each spatial axis: one averaging matrix per axis, applied
+axis by axis over all N*C rows at once, with the transposes in the backward.
 """
 
 from __future__ import annotations
@@ -44,27 +45,28 @@ def _as_tuple(v, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Affine map over the channel axis, shared across positions: x [Cin, *sp],
-    w [Cin, Cout] -> [Cout, *sp], y[o, ...] = sum_i w[i, o] x[i, ...] + b[o]."""
+    """Affine map over the channel axis, shared across positions: x [N, Cin, *sp],
+    w [Cin, Cout] -> [N, Cout, *sp], y[n, o, ...] = sum_i w[i, o] x[n, i, ...] + b[o]."""
     if weight.ndim != 2:
         raise DimensionError(f"linear: weight must be 2-d, got {weight.shape}")
     cin, cout = weight.shape
-    if x.shape[:1] != (cin,):
+    if x.shape[1:2] != (cin,):
         raise DimensionError(f"linear: x {x.shape} channels != weight rows {cin}")
     if bias is not None and bias.shape != (cout,):
         raise DimensionError(f"linear: bias {bias.shape} vs out dim {cout}")
-    x2 = x.data.reshape(cin, -1)
-    y = weight.data.T @ x2
+    n = x.shape[0]
+    x3 = x.data.reshape(n, cin, -1)
+    y = np.matmul(weight.data.T, x3)
     if bias is not None:
         y = y + bias.data[:, None]
-    out = Tensor(y.reshape((cout,) + x.shape[1:]))
+    out = Tensor(y.reshape((n, cout) + x.shape[2:]))
 
     def back(g):
-        g2 = g.reshape(cout, -1)
-        accumulate(x, (weight.data @ g2).reshape(x.shape))
-        accumulate(weight, x2 @ g2.T)
+        g3 = g.reshape(n, cout, -1)
+        accumulate(x, np.matmul(weight.data, g3).reshape(x.shape))
+        accumulate(weight, np.tensordot(x3, g3, axes=([0, 2], [0, 2])))
         if bias is not None:
-            accumulate(bias, g2.sum(axis=1))
+            accumulate(bias, g3.sum(axis=(0, 2)))
 
     ins = (x, weight) if bias is None else (x, weight, bias)
     return record("linear", ins, out, back)
@@ -76,60 +78,73 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
 @functools.lru_cache(maxsize=256)
 def _window_layout(shape: tuple, kernel: tuple, stride: tuple, pad: tuple):
-    """For x of ``shape`` [C, *sp]: the zero-padded buffer's shape, the slice
-    of it that holds x, the output size, and for each kernel offset (row-major)
-    the slice of the buffer that it reads at every output position."""
-    padded = (shape[0],) + tuple(s + 2 * p for s, p in zip(shape[1:], pad))
-    inner = (slice(None),) + tuple(slice(p, p + s) for p, s in zip(pad, shape[1:]))
-    out_sp = tuple((n - k) // st + 1 for n, k, st in zip(padded[1:], kernel, stride))
-    offsets = tuple((slice(None),) + tuple(slice(o, o + st * (n - 1) + 1, st)
-                                           for o, st, n in zip(koff, stride, out_sp))
+    """For x of ``shape`` [N, C, *sp], held channels-first as [C, N, *sp]: the
+    zero-padded buffer's shape, the slice of it that holds x, the output size,
+    and for each kernel offset (row-major) the slice of the buffer that it
+    reads at every output position."""
+    sp = shape[2:]
+    padded = (shape[1], shape[0]) + tuple(s + 2 * p for s, p in zip(sp, pad))
+    both = (slice(None), slice(None))
+    inner = both + tuple(slice(p, p + s) for p, s in zip(pad, sp))
+    out_sp = tuple((n - k) // st + 1 for n, k, st in zip(padded[2:], kernel, stride))
+    offsets = tuple(both + tuple(slice(o, o + st * (n - 1) + 1, st)
+                                 for o, st, n in zip(koff, stride, out_sp))
                     for koff in np.ndindex(*kernel))
     return padded, inner, out_sp, offsets
 
 
 def _windows(x: np.ndarray, kernel, stride, pad, op: str) -> np.ndarray:
-    """Im2col columns [C, k, *out] of x [C, *sp]: one copy per kernel offset,
-    so each column is contiguous over the output positions."""
-    if any(k > s + 2 * p for s, k, p in zip(x.shape[1:], kernel, pad)):
+    """Im2col columns [C, k, N, *out] of x [N, C, *sp]: one copy per kernel
+    offset, so each column is contiguous over the samples' output positions."""
+    if any(k > s + 2 * p for s, k, p in zip(x.shape[2:], kernel, pad)):
         raise DimensionError(
-            f"{op}: kernel {kernel} larger than padded input {x.shape[1:]} (pad {pad})")
+            f"{op}: kernel {kernel} larger than padded input {x.shape[2:]} (pad {pad})")
     padded, inner, out_sp, offsets = _window_layout(x.shape, kernel, stride, pad)
-    xp = x
+    xp = xt = x.swapaxes(0, 1)
     if any(pad):
         xp = np.zeros(padded)
-        xp[inner] = x
-    cols = np.empty((x.shape[0], len(offsets)) + out_sp)
+        xp[inner] = xt
+    cols = np.empty((x.shape[1], len(offsets), x.shape[0]) + out_sp)
     for j, sl in enumerate(offsets):
         cols[:, j] = xp[sl]
     return cols
 
 
 def _unwindow(dcols: np.ndarray, x_shape, kernel, stride, pad) -> np.ndarray:
-    """Adjoint of _windows: scatter-add columns [C, k, *out] onto the padded
-    buffer and strip the padding, giving [C, *sp]."""
+    """Adjoint of _windows: scatter-add columns [C, k, N, *out] onto the padded
+    buffer and strip the padding, giving [N, C, *sp]."""
     padded, inner, _, offsets = _window_layout(x_shape, kernel, stride, pad)
     dxp = np.zeros(padded)
     for j, sl in enumerate(offsets):
         dxp[sl] += dcols[:, j]
-    return dxp[inner]
+    return dxp[inner].swapaxes(0, 1)
+
+
+def _batch_first(y: np.ndarray, channels: int, n: int, out_sp: tuple) -> np.ndarray:
+    """[C, N * prod(out)] matmul result -> [N, C, *out]."""
+    return y.reshape((channels, n) + out_sp).swapaxes(0, 1)
+
+
+def _channels_first(g: np.ndarray) -> np.ndarray:
+    """[N, C, *out] gradient -> [C, N * prod(out)], the inverse of _batch_first."""
+    return g.swapaxes(0, 1).reshape(g.shape[1], -1)
 
 
 def convolve(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
              stride=1, padding=0) -> Tensor:
-    """N-d cross-correlation: x [Cin, *sp], w [Cout, Cin, *k] -> [Cout, *out]."""
+    """N-d cross-correlation: x [N, Cin, *sp], w [Cout, Cin, *k] -> [N, Cout, *out]."""
     nd = w.ndim - 2
-    if nd < 1 or x.ndim != nd + 1:
+    if nd < 1 or x.ndim != nd + 2:
         raise DimensionError(f"convolve: x {x.shape} incompatible with kernel {w.shape}")
-    if x.shape[0] != w.shape[1]:
+    if x.shape[1] != w.shape[1]:
         raise DimensionError(
-            f"convolve: input channels {x.shape[0]} != kernel channels {w.shape[1]}")
+            f"convolve: input channels {x.shape[1]} != kernel channels {w.shape[1]}")
     stride = _as_tuple(stride, nd)
     pad = _as_tuple(padding, nd)
     kernel = w.shape[2:]
-    cin, cout = x.shape[0], w.shape[0]
-    cols = _windows(x.data, kernel, stride, pad, "convolve")  # [Cin, k, *out]
-    out_sp = cols.shape[2:]
+    n, cin, cout = x.shape[0], x.shape[1], w.shape[0]
+    cols = _windows(x.data, kernel, stride, pad, "convolve")  # [Cin, k, N, *out]
+    out_sp = cols.shape[3:]
     cols = cols.reshape(cin * cols.shape[1], -1)
     w2 = w.data.reshape(cout, -1)
     y = w2 @ cols
@@ -137,15 +152,15 @@ def convolve(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
         if b.shape != (cout,):
             raise DimensionError(f"convolve: bias {b.shape} vs out channels {cout}")
         y = y + b.data[:, None]
-    out = Tensor(y.reshape((cout,) + out_sp))
+    out = Tensor(_batch_first(y, cout, n, out_sp))
 
     def back(g):
-        g2 = g.reshape(cout, -1)
+        g2 = _channels_first(g)
         accumulate(w, (g2 @ cols.T).reshape(w.shape))
         if b is not None:
             accumulate(b, g2.sum(axis=1))
         if x.requires_grad:
-            dcols = (w2.T @ g2).reshape((cin, -1) + out_sp)
+            dcols = (w2.T @ g2).reshape((cin, -1, n) + out_sp)
             accumulate(x, _unwindow(dcols, x.shape, kernel, stride, pad))
 
     ins = (x, w) if b is None else (x, w, b)
@@ -154,32 +169,32 @@ def convolve(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
 
 def depthwise_conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
                      stride=1, padding=0) -> Tensor:
-    """Per-channel 2-d conv with channel multiplier: x [C, H, W], w [C, M, kh, kw]
-    -> [C*M, H', W'] with output channel c*M+m."""
-    if x.ndim != 3 or w.ndim != 4 or x.shape[0] != w.shape[0]:
+    """Per-channel 2-d conv with channel multiplier: x [N, C, H, W],
+    w [C, M, kh, kw] -> [N, C*M, H', W'] with output channel c*M+m."""
+    if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[0]:
         raise DimensionError(f"depthwise_conv2d: x {x.shape} vs kernels {w.shape}")
     stride = _as_tuple(stride, 2)
     pad = _as_tuple(padding, 2)
-    c, m = w.shape[0], w.shape[1]
+    n, c, m = x.shape[0], w.shape[0], w.shape[1]
     kernel = w.shape[2:]
     cols = _windows(x.data, kernel, stride, pad, "depthwise_conv2d")
-    out_sp = cols.shape[2:]
+    out_sp = cols.shape[3:]
     cols = cols.reshape(c, cols.shape[1], -1)
     w2 = w.data.reshape(c, m, -1)
-    y = np.matmul(w2, cols)                              # [C, M, out]
+    y = np.matmul(w2, cols)                              # [C, M, N*out]
     if b is not None:
         if b.shape != (c * m,):
             raise DimensionError(f"depthwise_conv2d: bias {b.shape} vs {c * m} channels")
         y = y + b.data.reshape(c, m)[:, :, None]
-    out = Tensor(y.reshape((c * m,) + out_sp))
+    out = Tensor(_batch_first(y, c * m, n, out_sp))
 
     def back(g):
-        g3 = g.reshape(c, m, -1)
+        g3 = _channels_first(g).reshape(c, m, -1)
         accumulate(w, np.matmul(g3, cols.transpose(0, 2, 1)).reshape(w.shape))
         if b is not None:
             accumulate(b, g3.sum(axis=2).reshape(-1))
         if x.requires_grad:
-            dcols = np.matmul(w2.transpose(0, 2, 1), g3).reshape((c, -1) + out_sp)
+            dcols = np.matmul(w2.transpose(0, 2, 1), g3).reshape((c, -1, n) + out_sp)
             accumulate(x, _unwindow(dcols, x.shape, kernel, stride, pad))
 
     ins = (x, w) if b is None else (x, w, b)
@@ -187,25 +202,26 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
 
 
 def grouped_pointwise(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """Group-local 1x1 mixing: x [G*Cin, *sp], w [G, Cout, Cin] -> [G*Cout, *sp].
+    """Group-local 1x1 mixing: x [N, G*Cin, *sp], w [G, Cout, Cin] -> [N, G*Cout, *sp].
     Keeps channel groups (e.g. per-frame blocks) separate."""
     g_, cout, cin = w.shape
-    if x.shape[:1] != (g_ * cin,):
+    if x.shape[1:2] != (g_ * cin,):
         raise DimensionError(f"grouped_pointwise: x {x.shape} vs weight {w.shape}")
-    xg = x.data.reshape(g_, cin, -1)
-    y = np.einsum("goc,gcl->gol", w.data, xg)
+    n = x.shape[0]
+    xg = x.data.reshape(n, g_, cin, -1)
+    y = np.matmul(w.data, xg)                            # [N, G, Cout, L]
     if b is not None:
         if b.shape != (g_ * cout,):
             raise DimensionError(f"grouped_pointwise: bias {b.shape} vs {g_ * cout}")
         y = y + b.data.reshape(g_, cout, 1)
-    out = Tensor(y.reshape((g_ * cout,) + x.shape[1:]))
+    out = Tensor(y.reshape((n, g_ * cout) + x.shape[2:]))
 
     def back(grad):
-        g3 = grad.reshape(g_, cout, -1)
-        accumulate(w, np.einsum("gol,gcl->goc", g3, xg))
+        g4 = grad.reshape(n, g_, cout, -1)
+        accumulate(w, np.matmul(g4, xg.swapaxes(2, 3)).sum(axis=0))
         if b is not None:
-            accumulate(b, g3.sum(axis=2).reshape(-1))
-        accumulate(x, np.einsum("goc,gol->gcl", w.data, g3).reshape(x.shape))
+            accumulate(b, g4.sum(axis=(0, 3)).reshape(-1))
+        accumulate(x, np.matmul(w.data.transpose(0, 2, 1), g4).reshape(x.shape))
 
     ins = (x, w) if b is None else (x, w, b)
     return record("grouped_pointwise", ins, out, back)
@@ -234,17 +250,18 @@ def _bin_windows(length: int, target: int, divisor=None) -> tuple:
 
 
 def _map_axes(y: np.ndarray, mats) -> np.ndarray:
-    """Multiply axis 1+i of y [C, *sp] by mats[i] [out, in]. Each step maps the
-    first spatial axis and moves it last (one matmul batched over C), so the
-    axes are back in order after the last matrix."""
-    c = y.shape[0]
+    """Multiply axis 2+i of y [N, C, *sp] by mats[i] [out, in]. Each step maps
+    the first spatial axis and moves it last (one matmul batched over N*C), so
+    the axes are back in order after the last matrix."""
+    lead = y.shape[:2]
+    rows = lead[0] * lead[1]
     for m in mats:
-        y = y.reshape(c, m.shape[1], -1).transpose(0, 2, 1) @ m.T
-    return y.reshape((c,) + tuple(m.shape[0] for m in mats))
+        y = y.reshape(rows, m.shape[1], -1).transpose(0, 2, 1) @ m.T
+    return y.reshape(lead + tuple(m.shape[0] for m in mats))
 
 
 def _pool(x: Tensor, mats, name: str) -> Tensor:
-    """Record op ``name`` mapping x [C, *sp] axis by axis; the backward maps
+    """Record op ``name`` mapping x [N, C, *sp] axis by axis; the backward maps
     the gradient by the transposed matrices."""
     out = Tensor(_map_axes(x.data, mats))
 
@@ -255,47 +272,47 @@ def _pool(x: Tensor, mats, name: str) -> Tensor:
 
 
 def avg_pool(x: Tensor, window, stride=None, padding=0) -> Tensor:
-    """Fixed-window average pooling over all axes after the channel axis.
+    """Fixed-window average pooling over all axes after the batch and channel axes.
 
     Padding zeros count toward the average (divisor is always the full
     window size), keeping the divisor independent of position.
     """
-    nd = x.ndim - 1
+    nd = x.ndim - 2
     window = _as_tuple(window, nd)
     if any(k <= 0 for k in window):
         raise ArgumentError(f"avg_pool: window must be positive, got {window}")
     stride = window if stride is None else _as_tuple(stride, nd)
     pad = _as_tuple(padding, nd)
-    if any(k > n + 2 * p for n, k, p in zip(x.shape[1:], window, pad)):
+    if any(k > n + 2 * p for n, k, p in zip(x.shape[2:], window, pad)):
         raise DimensionError(
-            f"avg_pool: kernel {window} larger than padded input {x.shape[1:]} (pad {pad})")
+            f"avg_pool: kernel {window} larger than padded input {x.shape[2:]} (pad {pad})")
     mats = [_averaging_matrix(n, tuple((o * s - p, o * s - p + k, k)
                                        for o in range((n + 2 * p - k) // s + 1)))
-            for n, k, s, p in zip(x.shape[1:], window, stride, pad)]
+            for n, k, s, p in zip(x.shape[2:], window, stride, pad)]
     return _pool(x, mats, "avg_pool")
 
 
 def adaptive_avg_pool(x: Tensor, target) -> Tensor:
     """Adaptive average pooling: axis i is split into target[i] contiguous bins
     [ceil(j*L/t), ceil((j+1)*L/t)) and each bin is averaged."""
-    target = _as_tuple(target, x.ndim - 1)
+    target = _as_tuple(target, x.ndim - 2)
     if any(t <= 0 for t in target):
         raise ArgumentError(f"adaptive_avg_pool: target must be positive, got {target}")
-    if any(t > n for t, n in zip(target, x.shape[1:])):
-        raise ArgumentError(f"adaptive_avg_pool: target {target} exceeds input {x.shape[1:]}")
-    mats = [_averaging_matrix(n, _bin_windows(n, t)) for n, t in zip(x.shape[1:], target)]
+    if any(t > n for t, n in zip(target, x.shape[2:])):
+        raise ArgumentError(f"adaptive_avg_pool: target {target} exceeds input {x.shape[2:]}")
+    mats = [_averaging_matrix(n, _bin_windows(n, t)) for n, t in zip(x.shape[2:], target)]
     return _pool(x, mats, "adaptive_avg_pool")
 
 
 def expand_bins(x: Tensor, out_sizes) -> Tensor:
     """Nearest-neighbor inverse of adaptive_avg_pool: repeat each bin value over
     the positions its bin covered at size ``out_sizes``."""
-    out_sizes = _as_tuple(out_sizes, x.ndim - 1)
-    if any(n < t for n, t in zip(out_sizes, x.shape[1:])):
+    out_sizes = _as_tuple(out_sizes, x.ndim - 2)
+    if any(n < t for n, t in zip(out_sizes, x.shape[2:])):
         raise ArgumentError(
-            f"expand_bins: out_sizes {out_sizes} smaller than bins {x.shape[1:]}")
+            f"expand_bins: out_sizes {out_sizes} smaller than bins {x.shape[2:]}")
     mats = [_averaging_matrix(n, _bin_windows(n, t, divisor=1)).T
-            for n, t in zip(out_sizes, x.shape[1:])]
+            for n, t in zip(out_sizes, x.shape[2:])]
     return _pool(x, mats, "expand_bins")
 
 
@@ -357,43 +374,50 @@ class RunningStats:
 
 
 def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, stats: RunningStats,
-              eps: float = 1e-5, train: bool = True, channel_axis: int = 0) -> Tensor:
-    """Normalize over every axis except ``channel_axis``.
+              eps: float = 1e-5, train: bool = True) -> Tensor:
+    """Normalize each channel of x [N, C, *sp], then scale and shift it.
 
-    Train mode uses batch statistics and folds them into ``stats`` with
-    momentum 0.1; eval mode normalizes by the running statistics.
+    Train mode differs from the batch normalization of Ioffe & Szegedy
+    (arXiv 1502.03167), which pools its statistics over the batch and the
+    positions: here channel c of sample n is normalized by the mean and biased
+    variance of its own positions only, so no sample's output or gradient
+    depends on another sample of the batch. The running statistics then take N
+    momentum-0.1 updates, one per sample in batch order, so one call on N
+    samples leaves ``stats`` as N one-sample calls would. Eval mode normalizes
+    every sample by the running statistics.
     """
-    c = x.shape[channel_axis]
+    if x.ndim < 3:
+        raise DimensionError(f"batchnorm: x must be [N, C, *positions], got {x.shape}")
+    n, c = x.shape[:2]
     if scale.shape != (c,) or shift.shape != (c,):
         raise DimensionError(
             f"batchnorm: scale {scale.shape} / shift {shift.shape} vs {c} channels")
-    red = tuple(ax for ax in range(x.ndim) if ax != channel_axis)
-    bshape = [1] * x.ndim
-    bshape[channel_axis] = c
-    bshape = tuple(bshape)
-    m = x.size // c
+    red = tuple(range(2, x.ndim))
+    bshape = (1, c) + (1,) * len(red)
+    m = x.size // (n * c)
 
     if train:
-        mean = x.data.mean(axis=red)
-        var = x.data.var(axis=red)
-        stats.update(mean, var, 0.1)
+        mean = x.data.mean(axis=red, keepdims=True)
+        var = x.data.var(axis=red, keepdims=True)
+        for mu, v in zip(mean.reshape(n, c), var.reshape(n, c)):
+            stats.update(mu, v, 0.1)
     else:
-        mean, var = stats.mean, stats.var
+        mean, var = stats.mean.reshape(bshape), stats.var.reshape(bshape)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean.reshape(bshape)) * inv_std.reshape(bshape)
+    xhat = (x.data - mean) * inv_std
     out = Tensor(xhat * scale.data.reshape(bshape) + shift.data.reshape(bshape))
 
     def back(g):
-        accumulate(shift, g.sum(axis=red))
-        accumulate(scale, (g * xhat).sum(axis=red))
+        accumulate(shift, g.sum(axis=(0,) + red))
+        accumulate(scale, (g * xhat).sum(axis=(0,) + red))
         if x.requires_grad:
             dxhat = g * scale.data.reshape(bshape)
             if train:
-                s1 = dxhat.sum(axis=red).reshape(bshape)
-                s2 = (dxhat * xhat).sum(axis=red).reshape(bshape)
-                dx = (dxhat - s1 / m - xhat * s2 / m) * inv_std.reshape(bshape)
+                s1 = dxhat.sum(axis=red, keepdims=True)
+                s2 = (dxhat * xhat).sum(axis=red, keepdims=True)
+                dx = (dxhat - s1 / m - xhat * s2 / m) * inv_std
             else:
-                dx = dxhat * inv_std.reshape(bshape)
+                dx = dxhat * inv_std
             accumulate(x, dx)
 
     return record("batchnorm", (x, scale, shift), out, back)
@@ -403,21 +427,27 @@ def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, stats: RunningStats,
 # loss
 # ---------------------------------------------------------------------------
 
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """Negative log-likelihood of ``label`` under softmax(logits); stable."""
-    if logits.ndim != 1:
-        raise DimensionError(f"cross_entropy: logits must be 1-d, got {logits.shape}")
-    k = logits.shape[0]
-    if not 0 <= label < k:
-        raise ArgumentError(f"cross_entropy: label {label} out of range for {k} classes")
-    z = logits.data - logits.data.max()
-    lse = math.log(np.exp(z).sum())
-    out = Tensor(np.array(lse - z[label]))
-    prob = np.exp(z - lse)
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean over the batch of the negative log-likelihood of labels[n] under
+    softmax(logits[n]); logits [N, K], labels N ints. Stable."""
+    if logits.ndim != 2:
+        raise DimensionError(f"cross_entropy: logits must be [N, K], got {logits.shape}")
+    n, k = logits.shape
+    labels = np.asarray(labels, dtype=np.intp)
+    if labels.shape != (n,):
+        raise DimensionError(f"cross_entropy: {labels.shape} labels for {n} logit rows")
+    if np.any((labels < 0) | (labels >= k)):
+        raise ArgumentError(f"cross_entropy: labels {labels.tolist()} out of range "
+                            f"for {k} classes")
+    rows = np.arange(n)
+    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1))
+    out = Tensor(np.array(np.mean(lse - z[rows, labels])))
+    prob = np.exp(z - lse[:, None])
 
     def back(g):
         d = prob.copy()
-        d[label] -= 1.0
-        accumulate(logits, d * g)
+        d[rows, labels] -= 1.0
+        accumulate(logits, d * (g / n))
 
     return record("cross_entropy", (logits,), out, back)

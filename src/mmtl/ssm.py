@@ -86,21 +86,23 @@ def _accumulate_rows(t: Tensor, g: np.ndarray) -> None:
 
 def scan(x: Tensor, A: Tensor, B: Tensor, C: Tensor, D: Tensor,
          direction: ScanDirection = ScanDirection.FORWARD) -> Tensor:
-    """Run the linear recurrence over the leading (temporal) axis of x [T, C', L],
-    as the causal convolution over frames given in the module docstring.
+    """Run the linear recurrence over the temporal axis (axis 1) of x
+    [N, T, C', L], as the causal convolution over frames given in the module
+    docstring. The samples are independent: each channel's Toeplitz matrix
+    multiplies all N*L of its sequences in one matmul.
 
     A, B, C are [R, n] and D is [R] with R >= C': the scan reads the leading C'
     rows of each and accumulates gradients into those rows only, so a block
     scans one frame group with its C-row parameters and no slicing op.
 
     The backward direction reverses the frames inside this one op: it runs the
-    forward arithmetic on a contiguous reversed copy of x and reverses the
-    result (and, in the backward pass, the incoming and outgoing gradients),
-    so it equals reverse -> forward scan -> reverse bit-exactly.
+    forward arithmetic on a reversed copy of x and reverses the result (and,
+    in the backward pass, the incoming and outgoing gradients), so it equals
+    reverse -> forward scan -> reverse bit-exactly.
     """
-    if x.ndim != 3:
-        raise DimensionError(f"scan: x must be [T, C, L], got {x.shape}")
-    T, ch, _ = x.shape
+    if x.ndim != 4:
+        raise DimensionError(f"scan: x must be [N, T, C, L], got {x.shape}")
+    n, T, ch, length = x.shape
     if A.ndim != 2 or B.ndim != 2 or C.ndim != 2 or D.ndim != 1:
         raise DimensionError(f"scan: A, B, C must be [R, n] and D [R]; got "
                              f"{A.shape}, {B.shape}, {C.shape}, {D.shape}")
@@ -112,6 +114,17 @@ def scan(x: Tensor, A: Tensor, B: Tensor, C: Tensor, D: Tensor,
                              f"C {C.shape}")
     step = -1 if direction is ScanDirection.BACKWARD else 1
 
+    def channel_major(v: np.ndarray) -> np.ndarray:
+        """[N, T, C', L] in scan order -> [C', T, N*L]. The frames are put in
+        scan order in a contiguous array first, so both directions hand the
+        matmul the same layout."""
+        return np.ascontiguousarray(v[:, ::step]).transpose(2, 1, 0, 3).reshape(
+            ch, T, n * length)
+
+    def batch_major(v: np.ndarray) -> np.ndarray:
+        """The inverse of channel_major."""
+        return v.reshape(ch, T, n, length).transpose(2, 1, 0, 3)[:, ::step]
+
     a, b, c = A.data[:ch], B.data[:ch], C.data[:ch]
     lam = np.exp(np.minimum(a, 0.0))                        # [C', n]
     k = np.arange(T)
@@ -120,17 +133,17 @@ def scan(x: Tensor, A: Tensor, B: Tensor, C: Tensor, D: Tensor,
     kernel[0] += D.data[:ch]
     lags = _lags(T)
     conv = np.tensordot(kernel, lags, axes=(0, 0))          # [C', T, T]: K[t - s, c]
-    xc = np.ascontiguousarray(x.data[::step]).transpose(1, 0, 2)  # [C', T, L]
-    out = Tensor((conv @ xc).transpose(1, 0, 2)[::step])
+    xc = channel_major(x.data)                              # [C', T, N*L]
+    out = Tensor(batch_major(conv @ xc))
     a_open = (a < 0.0).astype(np.float64)   # d lam / d a = lam, zero where clamped
 
     def back(g):
-        gc = np.ascontiguousarray(g[::step]).transpose(1, 0, 2)  # [C', T, L]
+        gc = channel_major(g)
         gx = conv.transpose(0, 2, 1) @ gc                   # anti-causal correlation
         gk = np.tensordot(lags, gc @ xc.transpose(0, 2, 1), axes=([1, 2], [1, 2]))
         q = np.einsum("kc,kcn->cn", gk, powers)             # sum_k gK[k] lam^k
         r = np.einsum("kc,kcn->cn", gk * k[:, None], powers)  # sum_k gK[k] k lam^k
-        accumulate(x, gx.transpose(1, 0, 2)[::step])
+        accumulate(x, batch_major(gx))
         _accumulate_rows(A, b * c * r * a_open)
         _accumulate_rows(B, c * q)
         _accumulate_rows(C, b * q)

@@ -5,10 +5,11 @@ write into their inputs, so concurrent reads are always safe. Gradient
 recording happens only while a Tape is active (``with Tape() as tape:``)
 in the calling thread; without one, every operation is pure inference.
 
-Layouts are channels-first, here and in ``ops``: where an op has a channel
-axis, it is axis 0. Broadcasting is deliberately minimal: same-shape
-elementwise ops, scalar times tensor, and a channel vector over the trailing
-axes (a bias inside ``ops.linear``, a gate in ``scale_channels``).
+Layouts are batch-first, then channels, here and in ``ops``: [N, C, ...],
+with N samples on axis 0 and, where an op has a channel axis, the channels on
+axis 1. Broadcasting is deliberately minimal: same-shape elementwise ops,
+scalar times tensor, and a channel vector over the batch and trailing axes (a
+bias inside ``ops.linear``, a gate in ``scale_channels``).
 """
 
 from __future__ import annotations
@@ -245,15 +246,15 @@ def scale_by(a: Tensor, s: Tensor) -> Tensor:
 
 
 def scale_channels(x: Tensor, w: Tensor) -> Tensor:
-    """Multiply x[c, ...] by w[c]: a channel gate broadcast over spatial axes."""
-    if w.ndim != 1 or x.shape[0] != w.shape[0]:
+    """Multiply x[n, c, ...] by w[c]: one channel gate for every sample and position."""
+    if w.ndim != 1 or x.ndim < 2 or x.shape[1] != w.shape[0]:
         raise DimensionError(f"scale_channels: x {x.shape} vs gate {w.shape}")
-    wb = w.data.reshape((-1,) + (1,) * (x.ndim - 1))
+    wb = w.data.reshape((1, -1) + (1,) * (x.ndim - 2))
     out = Tensor(x.data * wb)
 
     def back(g):
         accumulate(x, g * wb)
-        accumulate(w, np.sum(g * x.data, axis=tuple(range(1, x.ndim))))
+        accumulate(w, np.sum(g * x.data, axis=(0,) + tuple(range(2, x.ndim))))
 
     return record("scale_channels", (x, w), out, back)
 
@@ -268,15 +269,18 @@ def tsum(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul: 2-d operands required, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """a [..., M, K] @ b [..., K, P] -> [..., M, P]; the leading (batch) axes
+    of the two operands must agree, so each sample multiplies its own pair."""
+    if a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
+        raise DimensionError(f"matmul: operands {a.shape} and {b.shape} need the same "
+                             f"leading axes and two trailing matrix axes")
+    if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: inner dims disagree, {a.shape} vs {b.shape}")
     out = Tensor(a.data @ b.data)
 
     def back(g):
-        accumulate(a, g @ b.data.T)
-        accumulate(b, a.data.T @ g)
+        accumulate(a, g @ b.data.swapaxes(-1, -2))
+        accumulate(b, a.data.swapaxes(-1, -2) @ g)
 
     return record("matmul", (a, b), out, back)
 
@@ -333,27 +337,27 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 
 def take_channels(a: Tensor, index: np.ndarray) -> Tensor:
-    """Permute/select along axis 0 by an integer index vector."""
+    """Permute/select along the channel axis (axis 1) by an integer index vector."""
     index = np.asarray(index, dtype=np.intp)
-    out = Tensor(a.data[index])
+    out = Tensor(a.data[:, index])
 
     def back(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, index, g)
+        np.add.at(full, (slice(None), index), g)
         accumulate(a, full)
 
     return record("take_channels", (a,), out, back)
 
 
 def tile_spatial(v: Tensor, spatial: tuple) -> Tensor:
-    """Broadcast a channel vector [C] to [C, *spatial]."""
-    if v.ndim != 1:
-        raise DimensionError(f"tile_spatial: 1-d vector expected, got {v.shape}")
-    out = Tensor(np.broadcast_to(v.data.reshape((-1,) + (1,) * len(spatial)),
-                                 (v.shape[0],) + tuple(spatial)).copy())
+    """Broadcast channel vectors [N, C] to [N, C, *spatial]."""
+    if v.ndim != 2:
+        raise DimensionError(f"tile_spatial: [N, C] expected, got {v.shape}")
+    out = Tensor(np.broadcast_to(v.data.reshape(v.shape + (1,) * len(spatial)),
+                                 v.shape + tuple(spatial)).copy())
 
     def back(g):
-        accumulate(v, g.sum(axis=tuple(range(1, 1 + len(spatial)))))
+        accumulate(v, g.sum(axis=tuple(range(2, 2 + len(spatial)))))
 
     return record("tile_spatial", (v,), out, back)
 

@@ -17,7 +17,7 @@ from .errors import ArgumentError, TrainingDiverged
 from .heads import TaskMetrics, compute_metrics, format_metrics_record, total_loss
 from .model import Model
 from .optim import EarlyStopper, OptimizerState, sgd_step
-from .tensor import Tape, add, backward, scale
+from .tensor import Tape, backward
 
 
 @dataclass
@@ -33,22 +33,14 @@ class TrainResult:
 
 
 def batch_loss(model: Model, batch: List[SampleBundle], train: bool = True):
-    """Mean summed-cross-entropy loss over a batch; returns (loss, telemetry)."""
-    losses = []
-    tele = []
+    """Mean summed-cross-entropy loss over a batch from one batched forward;
+    returns (loss, telemetry averaged over the batch)."""
+    result = model.forward(batch, train=train)
     specs = model.task_specs
-    for bundle in batch:
-        result = model.forward_sample(bundle, train=train)
-        logits = [result.logits[s.task_id] for s in specs]
-        labels = [bundle.labels[s.task_id] for s in specs]
-        losses.append(total_loss(logits, labels, specs))
-        if result.telemetry is not None:
-            tele.append(result.telemetry)
-    loss = losses[0]
-    for term in losses[1:]:
-        loss = add(loss, term)
-    loss = scale(loss, 1.0 / len(losses))
-    telemetry = np.mean(tele, axis=0) if tele else None
+    logits = [result.logits[s.task_id] for s in specs]
+    labels = [[bundle.labels[s.task_id] for bundle in batch] for s in specs]
+    loss = total_loss(logits, labels, specs)
+    telemetry = None if result.telemetry is None else result.telemetry.mean(axis=0)
     return loss, telemetry
 
 

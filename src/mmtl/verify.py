@@ -54,81 +54,69 @@ def _toy_config(seed: int) -> ModelConfig:
                        block_depth=1, joint_count=5, seed=seed)
 
 
-def _check_tensor_core(rng, corrupt):
-    """Full per-element probes of the core ops (they are small). ``corrupt``
-    names a probe-local tensor, such as ``x`` or ``w``, whose analytic gradient
-    is perturbed in every probe that has one."""
-    errors = {}
-    x = param(rng.normal(size=(4, 3)))
-    w = param(rng.normal(size=(4, 2)))
-    errors.update({f"matmul.{k}": v for k, v in check_gradients(
-        lambda: tsum(ops.linear(x, w)), {"x": x, "w": w}, corrupt=corrupt).items()})
+BATCH = 2   # samples in every probe, so a backward that mixes samples fails
 
-    xc = param(rng.normal(size=(2, 6, 6)))
+
+def _check_tensor_core(rng, corrupt):
+    """Full per-element probes of the core ops (they are small), each on a
+    batch of BATCH samples and read through a random weighting, so every
+    sample's output reaches the loss with its own weights. ``corrupt`` names a
+    probe-local tensor, such as ``x`` or ``w``, whose analytic gradient is
+    perturbed in every probe that has one."""
+    n = BATCH
+    errors = {}
+
+    def probe(name, out_fn, tensors):
+        weights = rng.normal(size=out_fn().shape)
+        errors.update({f"{name}.{k}": v for k, v in check_gradients(
+            lambda: _weighted_sum(out_fn(), weights), tensors, corrupt=corrupt).items()})
+
+    x = param(rng.normal(size=(n, 4, 3)))
+    w = param(rng.normal(size=(4, 2)))
+    probe("matmul", lambda: ops.linear(x, w), {"x": x, "w": w})
+
+    xc = param(rng.normal(size=(n, 2, 6, 6)))
     wc = param(rng.normal(size=(3, 2, 3, 3)))
     bc = param(rng.normal(size=(3,)))
-    errors.update({f"conv2d.{k}": v for k, v in check_gradients(
-        lambda: tsum(ops.convolve(xc, wc, bc, stride=2, padding=1)),
-        {"x": xc, "w": wc, "b": bc}, corrupt=corrupt).items()})
+    probe("conv2d", lambda: ops.convolve(xc, wc, bc, stride=2, padding=1),
+          {"x": xc, "w": wc, "b": bc})
 
-    xd = param(rng.normal(size=(3, 5, 5)))
+    xd = param(rng.normal(size=(n, 3, 5, 5)))
     wd = param(rng.normal(size=(3, 2, 3, 3)))
-    errors.update({f"depthwise.{k}": v for k, v in check_gradients(
-        lambda: tsum(ops.depthwise_conv2d(xd, wd, padding=1)),
-        {"x": xd, "w": wd}, corrupt=corrupt).items()})
+    probe("depthwise", lambda: ops.depthwise_conv2d(xd, wd, padding=1), {"x": xd, "w": wd})
 
-    xs = param(rng.normal(size=(5, 9, 8)))
+    xs = param(rng.normal(size=(n, 5, 9, 8)))
     ws = param(rng.normal(size=(5, 2, 3, 2)))
-    ps = rng.normal(size=(10, 5, 5))
-    errors.update({f"depthwise_s2.{k}": v for k, v in check_gradients(
-        lambda: _weighted_sum(ops.depthwise_conv2d(xs, ws, stride=2, padding=1), ps),
-        {"x": xs, "w": ws}, corrupt=corrupt).items()})
+    probe("depthwise_s2", lambda: ops.depthwise_conv2d(xs, ws, stride=2, padding=1),
+          {"x": xs, "w": ws})
 
-    x1 = param(rng.normal(size=(16, 24)))          # the block's [L, C] layout
+    x1 = param(rng.normal(size=(n, 16, 24)))       # the block's [N, L, C] layout
     w1 = param(rng.normal(size=(16, 16, 3)))
-    p1 = rng.normal(size=(16, 24))
-    errors.update({f"conv1d.{k}": v for k, v in check_gradients(
-        lambda: _weighted_sum(ops.convolve(x1, w1, padding=1), p1),
-        {"x": x1, "w": w1}, corrupt=corrupt).items()})
+    probe("conv1d", lambda: ops.convolve(x1, w1, padding=1), {"x": x1, "w": w1})
 
-    x3 = param(rng.normal(size=(1, 16, 17, 3)))    # the joints' [1, T, J, 3] volume
+    x3 = param(rng.normal(size=(n, 1, 16, 17, 3)))  # the joints' [N, 1, T, J, 3] volume
     w3 = param(rng.normal(size=(2, 1, 3, 3, 3)))
-    p3 = rng.normal(size=(2, 8, 8, 3))
-    errors.update({f"conv3d_pool.{k}": v for k, v in check_gradients(
-        lambda: _weighted_sum(ops.avg_pool(ops.convolve(x3, w3, padding=1), (2, 2, 1),
-                                           stride=(2, 2, 1)), p3),
-        {"x": x3, "w": w3}, corrupt=corrupt).items()})
+    probe("conv3d_pool", lambda: ops.avg_pool(ops.convolve(x3, w3, padding=1), (2, 2, 1),
+                                              stride=(2, 2, 1)), {"x": x3, "w": w3})
 
-    xp = param(rng.normal(size=(2, 6, 6)))
-    errors.update({f"pool.{k}": v for k, v in check_gradients(
-        lambda: tsum(ops.adaptive_avg_pool(ops.avg_pool(xp, 3, stride=1, padding=1),
-                                           (2, 2))), {"x": xp}, corrupt=corrupt).items()})
-    xq = param(rng.normal(size=(2, 9, 7)))
-    pq = rng.normal(size=(2, 5, 4))
-    errors.update({f"pool_s2.{k}": v for k, v in check_gradients(
-        lambda: _weighted_sum(ops.avg_pool(xq, 3, stride=2, padding=1), pq),
-        {"x": xq}, corrupt=corrupt).items()})
+    xp = param(rng.normal(size=(n, 2, 6, 6)))
+    probe("pool", lambda: ops.adaptive_avg_pool(ops.avg_pool(xp, 3, stride=1, padding=1),
+                                                (2, 2)), {"x": xp})
+    xq = param(rng.normal(size=(n, 2, 9, 7)))
+    probe("pool_s2", lambda: ops.avg_pool(xq, 3, stride=2, padding=1), {"x": xq})
 
-    xg = param(rng.normal(size=(2, 7, 7)))         # the block's global path
-    pg = rng.normal(size=(2, 7, 7))
-    errors.update({f"pool_global.{k}": v for k, v in check_gradients(
-        lambda: _weighted_sum(ops.expand_bins(ops.adaptive_avg_pool(xg, (3, 3)), (7, 7)), pg),
-        {"x": xg}, corrupt=corrupt).items()})
+    xg = param(rng.normal(size=(n, 2, 7, 7)))      # the block's global path
+    probe("pool_global", lambda: ops.expand_bins(ops.adaptive_avg_pool(xg, (3, 3)), (7, 7)),
+          {"x": xg})
 
-    xa = param(rng.normal(size=(2, 5)))
-    errors.update({f"activations.{k}": v for k, v in check_gradients(
-        lambda: tsum(ops.softmax(ops.gelu(ops.sigmoid(xa)), axis=1)),
-        {"x": xa}, corrupt=corrupt).items()})
+    xa = param(rng.normal(size=(n, 2, 5)))
+    probe("activations", lambda: ops.softmax(ops.gelu(ops.sigmoid(xa)), axis=2), {"x": xa})
 
-    xb = param(rng.normal(size=(4, 3, 3)))
+    xb = param(rng.normal(size=(n, 4, 3, 3)))
     sc = param(rng.normal(size=(4,)))
     sh = param(rng.normal(size=(4,)))
-
-    def bn_probe():
-        return tsum(ops.batchnorm(xb, sc, sh, ops.RunningStats(4), train=True))
-
-    errors.update({f"batchnorm.{k}": v for k, v in check_gradients(
-        bn_probe, {"x": xb, "scale": sc, "shift": sh}, corrupt=corrupt).items()})
+    probe("batchnorm", lambda: ops.batchnorm(xb, sc, sh, ops.RunningStats(4), train=True),
+          {"x": xb, "scale": sc, "shift": sh})
     return errors
 
 
@@ -157,7 +145,7 @@ def gradcheck_run(selector: str, tolerance: float = 1e-4, seed: int = 0,
             # trains the leading rows, the gate all of them, as in a block
             ssm_p = {"A": init_transition(5, 2, rng), "B": param(rng.normal(size=(5, 2))),
                      "C": param(rng.normal(size=(5, 2))), "D": param(rng.normal(size=5))}
-            x = param(rng.normal(size=(4, 3, 5)))
+            x = param(rng.normal(size=(BATCH, 4, 3, 5)))
             probe_y, probe_g = rng.normal(size=x.shape), rng.normal(size=5)
 
             def ssm_probe():
@@ -168,16 +156,16 @@ def gradcheck_run(selector: str, tolerance: float = 1e-4, seed: int = 0,
         elif s == "stem":
             sp = init_stem(EXTERIOR_VIEWS, cfg.frame_count, cfg.channels,
                            cfg.height, cfg.width, rng)
-            views = [ViewSequence(v, rng.random(
+            views = [[ViewSequence(v, rng.random(
                 (cfg.frame_count, 3, cfg.view_height, cfg.view_width)))
-                for v in EXTERIOR_VIEWS]
-            probe = rng.normal(size=(cfg.channels, cfg.height, cfg.width))
+                for v in EXTERIOR_VIEWS] for _ in range(BATCH)]
+            probe = rng.normal(size=(BATCH, cfg.channels, cfg.height, cfg.width))
             errors = check_gradients(
                 lambda: _weighted_sum(stem(views, sp), probe), sp.tensors(), **kw)
         elif s == "block":
             bp = init_block(cfg.channels, cfg.frame_count, cfg.height, cfg.width,
                             cfg.state_dim, rng)
-            x = param(rng.normal(size=(cfg.channels, cfg.height, cfg.width)))
+            x = param(rng.normal(size=(BATCH, cfg.channels, cfg.height, cfg.width)))
             probe = rng.normal(size=x.shape)
             errors = check_gradients(
                 lambda: _weighted_sum(dual_path_block(x, bp), probe),
@@ -185,18 +173,17 @@ def gradcheck_run(selector: str, tolerance: float = 1e-4, seed: int = 0,
         elif s == "joints":
             jp = init_joint_branch(cfg.joint_count, cfg.channels, cfg.height,
                                    cfg.width, rng)
-            seq = JointSequence(rng.random((cfg.frame_count, cfg.joint_count, 3)))
-            probe = rng.normal(size=(cfg.channels, cfg.height, cfg.width))
+            seqs = [JointSequence(rng.random((cfg.frame_count, cfg.joint_count, 3)))
+                    for _ in range(BATCH)]
+            probe = rng.normal(size=(BATCH, cfg.channels, cfg.height, cfg.width))
             errors = check_gradients(
-                lambda: _weighted_sum(joints_forward(seq, jp), probe),
+                lambda: _weighted_sum(joints_forward(seqs, jp), probe),
                 jp.tensors(), **kw)
         elif s == "fusion":
             gp = init_gate_params(6, rng)
-            m = ModalityFeatures(param(rng.normal(size=(6, 3, 3))),
-                                 param(rng.normal(size=(6, 3, 3))),
-                                 param(rng.normal(size=(6, 3, 3))))
-
-            probe = rng.normal(size=(6, 3, 3))
+            m = ModalityFeatures(*(param(rng.normal(size=(BATCH, 6, 3, 3)))
+                                   for _ in range(3)))
+            probe = rng.normal(size=(BATCH, 6, 3, 3))
 
             def fusion_probe():
                 sf = shared_attention(m, gp)
@@ -210,11 +197,11 @@ def gradcheck_run(selector: str, tolerance: float = 1e-4, seed: int = 0,
             hp = init_head(6, 3)
             hp.weight.data = rng.normal(size=hp.weight.shape)
             hp.bias.data = rng.normal(size=hp.bias.shape)
-            feat = param(rng.normal(size=(6, 3, 3)))
+            feat = param(rng.normal(size=(BATCH, 6, 3, 3)))
 
             def head_probe():
                 logits = head_forward(feat, hp)
-                return total_loss([logits], [1], [TaskSpec("der", 3)])
+                return total_loss([logits], [[1, 2]], [TaskSpec("der", 3)])
 
             errors = check_gradients(
                 head_probe, {"feat": feat, **hp.tensors()}, **kw)

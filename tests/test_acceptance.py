@@ -104,21 +104,21 @@ def test_criterion_4_structural_identities():
     # (a) zero-gamma residual identity, bit exact
     block = init_block(16, 4, 4, 4, 2, rng)
     block.gamma.data = np.array(0.0)
-    x = Tensor(rng.normal(size=(16, 4, 4)))
+    x = Tensor(rng.normal(size=(2, 16, 4, 4)))
     a_ok = np.array_equal(dual_path_block(x, block).data, x.data)
 
     # (b) backward scan == reverse(forward(reverse)), bit exact
     p = ssm_params(6, 3, rng)
-    xs = rng.normal(size=(8, 6, 5))
+    xs = rng.normal(size=(2, 8, 6, 5))
     got = scan(Tensor(xs), *p, ScanDirection.BACKWARD).data
-    want = scan(Tensor(xs[::-1].copy()), *p, ScanDirection.FORWARD).data[::-1]
+    want = scan(Tensor(xs[:, ::-1].copy()), *p, ScanDirection.FORWARD).data[:, ::-1]
     b_ok = np.array_equal(got, want)
 
     # (c) attention rows sum to one within 1e-9
     c = 6
     gp = init_gate_params(c, rng)
-    m = ModalityFeatures(*(Tensor(rng.normal(size=(c, 3, 3))) for _ in range(3)))
-    cat = np.concatenate([t.data for t in m.as_list()], 0).reshape(3 * c, -1)
+    m = ModalityFeatures(*(Tensor(rng.normal(size=(1, c, 3, 3))) for _ in range(3)))
+    cat = np.concatenate([t.data[0] for t in m.as_list()], 0).reshape(3 * c, -1)
     q = gp.wq.data.reshape(c, 3 * c) @ cat + gp.bq.data[:, None]
     k = gp.wk.data.reshape(c, 3 * c) @ cat + gp.bk.data[:, None]
     rows = softmax(Tensor(q @ k.T / 3.0), axis=1).data.sum(axis=1)
@@ -131,7 +131,7 @@ def test_criterion_4_structural_identities():
         sp = ssm_params(8, 3, r2)
         g = compute_gate(*sp).data
         gates_ok &= bool(np.all((g > 0) & (g < 1)))
-        s = Tensor(r2.normal(size=(c, 3, 3)))
+        s = Tensor(r2.normal(size=(2, c, 3, 3)))
         for r in range(4):
             for gt in task_gates(s, gp, r):
                 gates_ok &= bool(np.all((gt.data > 0) & (gt.data < 1)))
@@ -147,35 +147,39 @@ def test_criterion_5_oracle_equivalence():
     diffs = {}
 
     sp = init_stem(EXTERIOR_VIEWS, 4, 12, 4, 4, rng)
-    frames = [rng.random((4, 3, 8, 8)) for _ in range(3)]
-    views = [ViewSequence(v, f) for v, f in zip(EXTERIOR_VIEWS, frames)]
-    diffs["stem"] = np.abs(stem(views, sp).data - oracles.stem_ref(frames, sp)).max()
+    # every component runs on a batch of two; the oracles take one sample
+    frames = [[rng.random((4, 3, 8, 8)) for _ in range(3)] for _ in range(2)]
+    views = [[ViewSequence(v, f) for v, f in zip(EXTERIOR_VIEWS, sample)] for sample in frames]
+    diffs["stem"] = np.abs(stem(views, sp).data
+                           - np.stack([oracles.stem_ref(f, sp) for f in frames])).max()
 
     bp = init_block(16, 4, 4, 4, 2, rng)
-    xb = rng.normal(size=(16, 4, 4))
+    xb = rng.normal(size=(2, 16, 4, 4))
     diffs["block"] = np.abs(dual_path_block(Tensor(xb), bp).data
-                            - oracles.block_ref(xb, bp)).max()
+                            - np.stack([oracles.block_ref(x, bp) for x in xb])).max()
 
     gp = init_gate_params(16, rng)
-    m = ModalityFeatures(*(Tensor(rng.normal(size=(16, 4, 4))) for _ in range(3)))
+    m = ModalityFeatures(*(Tensor(rng.normal(size=(2, 16, 4, 4))) for _ in range(3)))
+    maps = [[t.data[i] for t in m.as_list()] for i in range(2)]
     s_att = shared_attention(m, gp)
     diffs["attention"] = np.abs(
-        s_att.data - oracles.attention_ref(m.h1.data, m.h2.data, m.h3.data, gp)).max()
+        s_att.data - np.stack([oracles.attention_ref(*hs, gp) for hs in maps])).max()
 
     worst_fuse = 0.0
     for r in range(4):
         got = task_fuse(m, s_att, gp, r, train=True).data
-        ref = oracles.task_fuse_ref(m.h1.data, m.h2.data, m.h3.data,
-                                    s_att.data, gp, r)
+        ref = np.stack([oracles.task_fuse_ref(*hs, s_att.data[i], gp, r)
+                        for i, hs in enumerate(maps)])
         worst_fuse = max(worst_fuse, np.abs(got - ref).max())
     diffs["task_fuse"] = worst_fuse
 
     pp = ssm_params(4, 2, rng)
-    xs = rng.normal(size=(4, 4, 16))
+    xs = rng.normal(size=(2, 4, 4, 16))
     diffs["scan"] = max(
         np.abs(scan(Tensor(xs), *pp, d).data
-               - oracles.scan_unrolled(xs, *(t.data for t in pp),
-                                       backward=d is ScanDirection.BACKWARD)).max()
+               - np.stack([oracles.scan_unrolled(x, *(t.data for t in pp),
+                                                 backward=d is ScanDirection.BACKWARD)
+                           for x in xs])).max()
         for d in (ScanDirection.FORWARD, ScanDirection.BACKWARD))
 
     ok = all(v < 1e-10 for v in diffs.values())

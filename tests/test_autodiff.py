@@ -119,7 +119,7 @@ class TestPrimitiveGradients:
         _fd(lambda: tsum(add(mul(a, b), sub(neg(a), scale(b, 1.7)))), {"a": a, "b": b})
 
     def test_scale_by_and_channels(self):
-        x = param(rng.normal(size=(3, 2, 2)))
+        x = param(rng.normal(size=(2, 3, 2, 2)))
         g = param(rng.normal(size=(3,)))
         s = param(np.array(0.7))
         _fd(lambda: tsum(scale_by(scale_channels(x, g), s)), {"x": x, "g": g, "s": s})
@@ -128,51 +128,56 @@ class TestPrimitiveGradients:
         a = param(rng.normal(size=(3, 4)))
         b = param(rng.normal(size=(4, 2)))
         _fd(lambda: tsum(matmul(a, b)), {"a": a, "b": b})
+        ab = param(rng.normal(size=(2, 3, 4)))
+        bb = param(rng.normal(size=(2, 4, 2)))
+        probe = Tensor(rng.normal(size=(2, 3, 2)))
+        _fd(lambda: tsum(mul(matmul(ab, bb), probe)), {"a": ab, "b": bb})
 
     def test_linear(self):
-        x = param(rng.normal(size=(3, 2, 5)))
+        x = param(rng.normal(size=(2, 3, 2, 5)))
         w = param(rng.normal(size=(3, 4)))
         b = param(rng.normal(size=(4,)))
-        _fd(lambda: tsum(ops.linear(x, w, b)), {"x": x, "w": w, "b": b})
+        probe = Tensor(rng.normal(size=(2, 4, 2, 5)))
+        _fd(lambda: tsum(mul(ops.linear(x, w, b), probe)), {"x": x, "w": w, "b": b})
 
     @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1)])
     def test_conv2d(self, stride, pad):
-        x = param(rng.normal(size=(2, 5, 5)))
+        x = param(rng.normal(size=(2, 2, 5, 5)))
         w = param(rng.normal(size=(3, 2, 3, 3)))
         b = param(rng.normal(size=(3,)))
         _fd(lambda: tsum(ops.convolve(x, w, b, stride=stride, padding=pad)),
             {"x": x, "w": w, "b": b})
 
     def test_conv1d_and_3d(self):
-        x1 = param(rng.normal(size=(2, 6)))
+        x1 = param(rng.normal(size=(2, 2, 6)))
         w1 = param(rng.normal(size=(2, 2, 3)))
         _fd(lambda: tsum(ops.convolve(x1, w1, padding=1)), {"x": x1, "w": w1})
-        x3 = param(rng.normal(size=(1, 3, 3, 3)))
+        x3 = param(rng.normal(size=(2, 1, 3, 3, 3)))
         w3 = param(rng.normal(size=(2, 1, 2, 2, 2)))
         _fd(lambda: tsum(ops.convolve(x3, w3)), {"x": x3, "w": w3})
 
     def test_depthwise(self):
-        x = param(rng.normal(size=(3, 4, 4)))
+        x = param(rng.normal(size=(2, 3, 4, 4)))
         w = param(rng.normal(size=(3, 2, 3, 3)))
         b = param(rng.normal(size=(6,)))
         _fd(lambda: tsum(ops.depthwise_conv2d(x, w, b, padding=1)),
             {"x": x, "w": w, "b": b})
 
     def test_grouped_pointwise(self):
-        x = param(rng.normal(size=(6, 5)))
+        x = param(rng.normal(size=(2, 6, 5)))
         w = param(rng.normal(size=(2, 4, 3)))
         b = param(rng.normal(size=(8,)))
         _fd(lambda: tsum(ops.grouped_pointwise(x, w, b)), {"x": x, "w": w, "b": b})
-        x3 = param(rng.normal(size=(6, 2, 3)))     # [G*Cin, H, W]
-        probe = Tensor(rng.normal(size=(8, 2, 3)))
+        x3 = param(rng.normal(size=(2, 6, 2, 3)))     # [N, G*Cin, H, W]
+        probe = Tensor(rng.normal(size=(2, 8, 2, 3)))
         _fd(lambda: tsum(mul(ops.grouped_pointwise(x3, w, b), probe)),
             {"x": x3, "w": w, "b": b})
 
     def test_pools(self):
-        x = param(rng.normal(size=(2, 6, 6)))
+        x = param(rng.normal(size=(2, 2, 6, 6)))
         _fd(lambda: tsum(ops.avg_pool(x, 3, stride=2, padding=1)), {"x": x})
         _fd(lambda: tsum(ops.adaptive_avg_pool(x, (4, 3))), {"x": x})
-        small = param(rng.normal(size=(2, 3, 3)))
+        small = param(rng.normal(size=(2, 2, 3, 3)))
         _fd(lambda: tsum(ops.expand_bins(small, (7, 5))), {"x": small})
 
     def test_activations(self):
@@ -183,10 +188,12 @@ class TestPrimitiveGradients:
         _fd(lambda: tsum(mul(ops.softmax(x, axis=1), probe)), {"x": x})
 
     def test_batchnorm_train_and_eval(self):
-        x = param(rng.normal(size=(3, 4, 4)))
+        x = param(rng.normal(size=(2, 3, 4, 4)))
         sc = param(rng.normal(size=(3,)))
         sh = param(rng.normal(size=(3,)))
-        _fd(lambda: tsum(ops.batchnorm(x, sc, sh, ops.RunningStats(3), train=True)),
+        probe = Tensor(rng.normal(size=(2, 3, 4, 4)))
+        _fd(lambda: tsum(mul(ops.batchnorm(x, sc, sh, ops.RunningStats(3), train=True),
+                             probe)),
             {"x": x, "scale": sc, "shift": sh})
         stats = ops.RunningStats(3)
         stats.mean = rng.normal(size=3)
@@ -195,22 +202,22 @@ class TestPrimitiveGradients:
             {"x": x, "scale": sc, "shift": sh})
 
     def test_cross_entropy(self):
-        x = param(rng.normal(size=(5,)))
-        _fd(lambda: ops.cross_entropy(x, 2), {"x": x})
+        x = param(rng.normal(size=(3, 5)))
+        _fd(lambda: ops.cross_entropy(x, [2, 0, 4]), {"x": x})
 
     def test_structural(self):
         x = param(rng.normal(size=(4, 3)))
         y = param(rng.normal(size=(2, 3)))
         p_cat = Tensor(rng.normal(size=(6, 3)))
         p_tr = Tensor(rng.normal(size=(3, 4)))
-        p_take = Tensor(rng.normal(size=(5, 3)))
-        p_tile = Tensor(rng.normal(size=(3, 2, 2)))
+        p_take = Tensor(rng.normal(size=(4, 5)))
+        p_tile = Tensor(rng.normal(size=(2, 3, 2, 2)))
         _fd(lambda: tsum(mul(concat([x, y], axis=0), p_cat)), {"x": x, "y": y})
         _fd(lambda: tsum(narrow(x, 0, 1, 2)), {"x": x})
         _fd(lambda: tsum(mul(transpose(x, (1, 0)), p_tr)), {"x": x})
-        _fd(lambda: tsum(mul(take_channels(x, np.array([2, 0, 1, 3, 2])), p_take)),
+        _fd(lambda: tsum(mul(take_channels(x, np.array([2, 0, 1, 0, 2])), p_take)),
             {"x": x})
-        v = param(rng.normal(size=(3,)))
+        v = param(rng.normal(size=(2, 3)))
         _fd(lambda: tsum(mul(tile_spatial(v, (2, 2)), p_tile)), {"v": v})
 
     def test_corrupted_gradient_detected(self):

@@ -1,5 +1,6 @@
 """Stem and dual-path block: structural identities, shape preservation,
-oracle agreement, and gradient flow.
+oracle agreement, and gradient flow. Both take a batch: the stem a list of
+per-sample view lists, the block [N, C, H, W].
 """
 
 import numpy as np
@@ -25,16 +26,16 @@ class TestStem:
         p = init_stem(EXTERIOR_VIEWS, 2, 12, 3, 3, rng)
         views = make_views(rng)[:2]
         with pytest.raises(InputError, match="right"):
-            stem(views, p)
+            stem([make_views(rng), views], p)
 
     def test_constant_input_gives_constant_output(self):
         # unpadded convolution and pooling map constants to exact constants
         rng = np.random.default_rng(1)
         p = init_stem(EXTERIOR_VIEWS, 2, 12, 2, 2, rng)
         views = [ViewSequence(v, np.full((2, 3, 6, 6), 0.75)) for v in EXTERIOR_VIEWS]
-        out = stem(views, p).data
-        assert out.shape == (12, 2, 2)
-        per_channel_spread = out.max(axis=(1, 2)) - out.min(axis=(1, 2))
+        out = stem([views], p).data
+        assert out.shape == (1, 12, 2, 2)
+        per_channel_spread = out.max(axis=(2, 3)) - out.min(axis=(2, 3))
         npt.assert_allclose(per_channel_spread, 0.0, atol=1e-14)
 
     def test_frame_major_channel_layout(self):
@@ -47,7 +48,7 @@ class TestStem:
         bumped_frames = base[0].frames.copy()
         bumped_frames[1] += 0.3          # frame index 1 of the front view
         bumped = [ViewSequence("front", bumped_frames)] + base[1:]
-        delta = np.abs(stem(bumped, p).data - stem(base, p).data).sum(axis=(1, 2))
+        delta = np.abs(stem([bumped], p).data - stem([base], p).data)[0].sum(axis=(1, 2))
         group = c // t
         hot = np.flatnonzero(delta > 1e-9)
         assert np.all((hot >= group) & (hot < 2 * group))
@@ -56,10 +57,11 @@ class TestStem:
         rng = np.random.default_rng(3)
         t = 2
         p = init_stem(EXTERIOR_VIEWS, t, 12, 3, 3, rng)
-        frames = [rng.random((t, 3, 8, 8)) for _ in range(3)]
-        views = [ViewSequence(v, f) for v, f in zip(EXTERIOR_VIEWS, frames)]
+        frames = [[rng.random((t, 3, 8, 8)) for _ in range(3)] for _ in range(2)]
+        views = [[ViewSequence(v, f) for v, f in zip(EXTERIOR_VIEWS, sample)]
+                 for sample in frames]
         got = stem(views, p).data
-        ref = oracles.stem_ref(frames, p)
+        ref = np.stack([oracles.stem_ref(sample, p) for sample in frames])
         assert np.abs(got - ref).max() < 1e-10
 
     def test_degenerate_single_view_single_frame(self):
@@ -70,7 +72,7 @@ class TestStem:
         p.depthwise_w[0].data = np.ones((3, 1, 1, 1))
         p.depthwise_b[0].data = np.zeros(3)
         frame = rng.random((1, 3, 5, 5))
-        out = stem([ViewSequence("front", frame)], p).data
+        out = stem([[ViewSequence("front", frame)]], p).data[0]
         centered = frame[0] - 0.5
         pw = p.pointwise_w[0].data[0]            # [cpf=2, 3]
         expect = np.einsum("oc,chw->ohw", pw, centered) \
@@ -81,8 +83,8 @@ class TestStem:
     def test_gradients_flow(self):
         rng = np.random.default_rng(4)
         p = init_stem(EXTERIOR_VIEWS, 2, 6, 2, 2, rng)
-        views = make_views(rng, t=2, hv=4, wv=4)
-        probe = Tensor(rng.normal(size=(6, 2, 2)))
+        views = [make_views(rng, t=2, hv=4, wv=4) for _ in range(2)]
+        probe = Tensor(rng.normal(size=(2, 6, 2, 2)))
         assert_gradients_close(lambda: tsum(mul(stem(views, p), probe)),
                                p.tensors(), max_elements=6,
                                rng=np.random.default_rng(0))
@@ -100,7 +102,7 @@ class TestDualPathBlock:
         rng = np.random.default_rng(6)
         p = self._block(rng)
         p.gamma.data = np.array(0.0)
-        x = Tensor(rng.normal(size=(8, 3, 3)))
+        x = Tensor(rng.normal(size=(2, 8, 3, 3)))
         out = dual_path_block(x, p)
         assert np.array_equal(out.data, x.data)
 
@@ -118,7 +120,7 @@ class TestDualPathBlock:
         for tensor in (p.A_fwd, p.B, p.C, p.A_bwd, p.D_bwd, p.D_fwd):
             tensor.data = np.zeros_like(tensor.data)
         p.gamma.data = np.array(0.8)
-        x = Tensor(rng.normal(size=(c, h, w)))
+        x = Tensor(rng.normal(size=(2, c, h, w)))
         # with zero B/C/D both scans output zero; pooling and linears keep it zero
         out = dual_path_block(x, p)
         npt.assert_allclose(out.data, x.data, rtol=0, atol=1e-15)
@@ -127,26 +129,26 @@ class TestDualPathBlock:
         rng = np.random.default_rng(8)
         for c, t, h, w in ((8, 2, 3, 3), (12, 3, 2, 5), (16, 4, 4, 4)):
             p = self._block(rng, c=c, t=t, h=h, w=w)
-            x = Tensor(rng.normal(size=(c, h, w)))
-            assert dual_path_block(x, p).shape == (c, h, w)
+            x = Tensor(rng.normal(size=(2, c, h, w)))
+            assert dual_path_block(x, p).shape == (2, c, h, w)
 
     @pytest.mark.parametrize("single_direction,local_only",
                              [(False, False), (True, False), (False, True)])
     def test_matches_straight_line_reference(self, single_direction, local_only):
         rng = np.random.default_rng(9)
         p = self._block(rng, c=16, t=4, h=4, w=4, n=2)
-        x = rng.normal(size=(16, 4, 4))
+        x = rng.normal(size=(2, 16, 4, 4))
         got = dual_path_block(Tensor(x), p, single_direction=single_direction,
                               local_only=local_only).data
-        ref = oracles.block_ref(x, p, single_direction=single_direction,
-                                local_only=local_only)
+        ref = np.stack([oracles.block_ref(xi, p, single_direction=single_direction,
+                                          local_only=local_only) for xi in x])
         assert np.abs(got - ref).max() < 1e-10
 
     def test_input_gradient_nonzero_and_correct(self):
         rng = np.random.default_rng(10)
         p = self._block(rng)
-        x = param(rng.normal(size=(8, 3, 3)))
-        probe = Tensor(rng.normal(size=(8, 3, 3)))
+        x = param(rng.normal(size=(2, 8, 3, 3)))
+        probe = Tensor(rng.normal(size=(2, 8, 3, 3)))
         errors = assert_gradients_close(
             lambda: tsum(mul(dual_path_block(x, p), probe)),
             {"x": x, **p.tensors()}, max_elements=8,
@@ -160,8 +162,8 @@ class TestDualPathBlock:
         rng = np.random.default_rng(11)
         p = self._block(rng)
         p.gamma.data = np.array(0.0)
-        x = param(rng.normal(size=(8, 3, 3)))
-        probe = Tensor(rng.normal(size=(8, 3, 3)))
+        x = param(rng.normal(size=(2, 8, 3, 3)))
+        probe = Tensor(rng.normal(size=(2, 8, 3, 3)))
         with Tape() as tape:
             loss = tsum(mul(dual_path_block(x, p), probe))
         backward(tape, loss)
@@ -183,7 +185,7 @@ class TestDualPathBlock:
         rng = np.random.default_rng(13)
         p = self._block(rng, c=8, t=2)
         with pytest.raises(ConfigError):
-            dual_path_block(Tensor(np.zeros((9, 3, 3))), p)
+            dual_path_block(Tensor(np.zeros((1, 9, 3, 3))), p)
         with pytest.raises(ConfigError):
             init_block(9, 2, 3, 3, 2, rng)
 
@@ -192,7 +194,7 @@ class TestBlockStack:
     def test_depth_one_equals_single_block(self):
         rng = np.random.default_rng(14)
         p = init_block(8, 2, 3, 3, 2, rng)
-        x = Tensor(rng.normal(size=(8, 3, 3)))
+        x = Tensor(rng.normal(size=(2, 8, 3, 3)))
         npt.assert_array_equal(block_stack(x, [p]).data, dual_path_block(x, p).data)
 
     def test_two_gamma_zero_blocks_are_identity(self):
@@ -200,16 +202,16 @@ class TestBlockStack:
         blocks = [init_block(8, 2, 3, 3, 2, rng) for _ in range(2)]
         for b in blocks:
             b.gamma.data = np.array(0.0)
-        x = Tensor(rng.normal(size=(8, 3, 3)))
+        x = Tensor(rng.normal(size=(2, 8, 3, 3)))
         assert np.array_equal(block_stack(x, blocks).data, x.data)
 
     def test_composition(self):
         rng = np.random.default_rng(16)
         blocks = [init_block(8, 2, 3, 3, 2, rng) for _ in range(2)]
-        x = Tensor(rng.normal(size=(8, 3, 3)))
+        x = Tensor(rng.normal(size=(2, 8, 3, 3)))
         manual = dual_path_block(dual_path_block(x, blocks[0]), blocks[1])
         npt.assert_array_equal(block_stack(x, blocks).data, manual.data)
 
     def test_empty_stack_rejected(self):
         with pytest.raises(ConfigError):
-            block_stack(Tensor(np.zeros((8, 3, 3))), [])
+            block_stack(Tensor(np.zeros((1, 8, 3, 3))), [])

@@ -363,6 +363,21 @@ class TestSampleDir:
         assert streams.skipped == 1
         assert len(streams.train) + len(streams.val) + len(streams.test) == 2
 
+    @pytest.mark.parametrize("good,bad", [
+        (TOY.replace(frame_count=8), TOY.replace(frame_count=4)),      # 4 frames, config 8
+        (TOY.replace(joint_count=17), TOY.replace(joint_count=20)),    # 20 joints, config 17
+    ], ids=["frame_count", "joint_count"])
+    def test_sample_of_other_shape_skipped(self, tmp_path, good, bad):
+        # the model batches samples, so one of another shape must not load
+        for b in generate_synthetic(SyntheticRecipe(noise=0.1), 2, 20, good):
+            write_sample_dir(b, tmp_path)
+        [odd] = generate_synthetic(SyntheticRecipe(noise=0.1), 1, 21, bad)
+        write_sample_dir(odd, tmp_path)
+        streams = load_sample_dir(tmp_path, config=good)
+        assert streams.skipped == 1
+        loaded = streams.train + streams.val + streams.test
+        assert len(loaded) == 2 and odd.sample_id not in [s.sample_id for s in loaded]
+
     def test_each_sample_file_opened_once(self, tmp_path, monkeypatch):
         cfg = TOY.replace(frame_count=8)
         for b in generate_synthetic(SyntheticRecipe(noise=0.1), 3, 19, cfg):

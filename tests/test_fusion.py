@@ -1,5 +1,5 @@
 """Gated multimodal fusion: attention structure, gate behavior, task
-symmetry, and oracle agreement.
+symmetry, and oracle agreement, on [N, C, H, W] modality batches.
 """
 
 import numpy as np
@@ -17,11 +17,16 @@ from mmtl.tensor import Tensor, mul, param, tsum
 import oracles
 
 
-def make_feats(rng, c=4, h=3, w=3, as_params=False):
+def make_feats(rng, c=4, h=3, w=3, as_params=False, n=2):
     mk = param if as_params else Tensor
-    return ModalityFeatures(mk(rng.normal(size=(c, h, w))),
-                            mk(rng.normal(size=(c, h, w))),
-                            mk(rng.normal(size=(c, h, w))))
+    return ModalityFeatures(mk(rng.normal(size=(n, c, h, w))),
+                            mk(rng.normal(size=(n, c, h, w))),
+                            mk(rng.normal(size=(n, c, h, w))))
+
+
+def sample(m, i):
+    """The three [C, H, W] maps of sample i."""
+    return m.h1.data[i], m.h2.data[i], m.h3.data[i]
 
 
 class TestSharedAttention:
@@ -34,10 +39,11 @@ class TestSharedAttention:
         p.bq.data = np.zeros_like(p.bq.data)
         s = shared_attention(m, p).data
         # uniform attention averages V over its channel rows
-        cat = np.concatenate([m.h1.data, m.h2.data, m.h3.data], 0).reshape(3 * c, -1)
-        v = p.wv.data.reshape(c, 3 * c) @ cat + p.bv.data[:, None]
-        expect = np.broadcast_to(v.mean(axis=0), (c, v.shape[1])).reshape(s.shape)
-        npt.assert_allclose(s, expect, rtol=1e-12)
+        for i in range(2):
+            cat = np.concatenate(sample(m, i), 0).reshape(3 * c, -1)
+            v = p.wv.data.reshape(c, 3 * c) @ cat + p.bv.data[:, None]
+            expect = np.broadcast_to(v.mean(axis=0), (c, v.shape[1])).reshape(s.shape[1:])
+            npt.assert_allclose(s[i], expect, rtol=1e-12)
 
     def test_zero_values_give_zero(self):
         rng = np.random.default_rng(1)
@@ -52,7 +58,7 @@ class TestSharedAttention:
         c, h, w = 5, 2, 3
         m = make_feats(rng, c=c, h=h, w=w)
         p = init_gate_params(c, rng)
-        cat = np.concatenate([m.h1.data, m.h2.data, m.h3.data], 0).reshape(3 * c, -1)
+        cat = np.concatenate(sample(m, 0), 0).reshape(3 * c, -1)
         q = p.wq.data.reshape(c, 3 * c) @ cat + p.bq.data[:, None]
         k = p.wk.data.reshape(c, 3 * c) @ cat + p.bk.data[:, None]
         attn = softmax(Tensor(q @ k.T / np.sqrt(h * w)), axis=1).data
@@ -63,13 +69,13 @@ class TestSharedAttention:
         m = make_feats(rng, c=2, h=2, w=2)
         p = init_gate_params(2, rng)
         got = shared_attention(m, p).data
-        ref = oracles.attention_ref(m.h1.data, m.h2.data, m.h3.data, p)
+        ref = np.stack([oracles.attention_ref(*sample(m, i), p) for i in range(2)])
         assert np.abs(got - ref).max() < 1e-10
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            ModalityFeatures(Tensor(np.zeros((2, 2, 2))), Tensor(np.zeros((2, 2, 2))),
-                             Tensor(np.zeros((2, 2, 3))))
+            ModalityFeatures(Tensor(np.zeros((1, 2, 2, 2))), Tensor(np.zeros((1, 2, 2, 2))),
+                             Tensor(np.zeros((1, 2, 2, 3))))
 
     def test_mean_fallback(self):
         rng = np.random.default_rng(4)
@@ -88,7 +94,7 @@ class TestTaskFuse:
         p.gate_w[r].data = np.zeros_like(p.gate_w[r].data)
         p.gate_b[r].data = np.zeros_like(p.gate_b[r].data)
         p.bn_shift[r].data = np.zeros_like(p.bn_shift[r].data)
-        s = Tensor(rng.normal(size=(c, 3, 3)))
+        s = Tensor(rng.normal(size=(2, c, 3, 3)))
         out = task_fuse(m, s, p, r)
         expect = 0.5 * (m.h1.data + m.h2.data + m.h3.data)
         npt.assert_allclose(out.data, expect, rtol=1e-12)
@@ -96,10 +102,11 @@ class TestTaskFuse:
     def test_single_modality_passthrough(self):
         rng = np.random.default_rng(6)
         c = 4
-        h1 = Tensor(rng.normal(size=(c, 3, 3)))
-        m = ModalityFeatures(h1, Tensor(np.zeros((c, 3, 3))), Tensor(np.zeros((c, 3, 3))))
+        h1 = Tensor(rng.normal(size=(2, c, 3, 3)))
+        m = ModalityFeatures(h1, Tensor(np.zeros((2, c, 3, 3))),
+                             Tensor(np.zeros((2, c, 3, 3))))
         p = init_gate_params(c, rng)
-        s = Tensor(rng.normal(size=(c, 3, 3)))
+        s = Tensor(rng.normal(size=(2, c, 3, 3)))
         gates = task_gates(s, p, 0, train=True)
         out = task_fuse(m, s, p, 0)
         npt.assert_allclose(out.data, h1.data * gates[0].data, rtol=1e-12)
@@ -107,7 +114,7 @@ class TestTaskFuse:
     def test_gates_bounded(self):
         rng = np.random.default_rng(7)
         p = init_gate_params(4, rng)
-        s = Tensor(rng.normal(scale=3, size=(4, 3, 3)))
+        s = Tensor(rng.normal(scale=3, size=(2, 4, 3, 3)))
         for r in range(4):
             for g in task_gates(s, p, r):
                 assert np.all(g.data > 0) and np.all(g.data < 1)
@@ -116,23 +123,24 @@ class TestTaskFuse:
         rng = np.random.default_rng(8)
         p = init_gate_params(4, rng)
         with pytest.raises(ArgumentError):
-            task_gates(Tensor(np.zeros((4, 3, 3))), p, 4)
+            task_gates(Tensor(np.zeros((1, 4, 3, 3))), p, 4)
 
     def test_matches_reference(self):
         rng = np.random.default_rng(9)
         m = make_feats(rng, c=3, h=2, w=2)
         p = init_gate_params(3, rng)
-        s = rng.normal(size=(3, 2, 2))
+        s = rng.normal(size=(2, 3, 2, 2))
         for r in range(4):
             got = task_fuse(m, Tensor(s), p, r, train=True).data
-            ref = oracles.task_fuse_ref(m.h1.data, m.h2.data, m.h3.data, s, p, r)
+            ref = np.stack([oracles.task_fuse_ref(*sample(m, i), s[i], p, r)
+                            for i in range(2)])
             assert np.abs(got - ref).max() < 1e-10
 
     def test_gradients(self):
         rng = np.random.default_rng(10)
         m = make_feats(rng, c=3, h=2, w=2, as_params=True)
         p = init_gate_params(3, rng)
-        probe = Tensor(rng.normal(size=(3, 2, 2)))
+        probe = Tensor(rng.normal(size=(2, 3, 2, 2)))
 
         def f():
             s = shared_attention(m, p)
@@ -155,7 +163,7 @@ class TestFuseAll:
             p.bn_shift[r].data = np.zeros_like(p.bn_shift[r].data)
         _, tele = fuse_all(m, p)
         npt.assert_allclose(tele, 0.5, atol=1e-12)
-        assert tele.shape == (4, 3)
+        assert tele.shape == (2, 4, 3)
 
     def test_identical_gate_params_give_identical_task_features(self):
         rng = np.random.default_rng(12)
@@ -170,7 +178,7 @@ class TestFuseAll:
         feats, tele = fuse_all(m, p)
         for r in range(1, 4):
             npt.assert_array_equal(feats[r].data, feats[0].data)
-        npt.assert_allclose(tele, np.broadcast_to(tele[0], (4, 3)), atol=1e-15)
+        npt.assert_allclose(tele, np.broadcast_to(tele[:, :1], (2, 4, 3)), atol=1e-15)
 
     def test_single_gate_unit_shares_across_tasks(self):
         rng = np.random.default_rng(13)
@@ -195,7 +203,7 @@ class TestConcatFuse:
 
     def test_zero_modalities_give_zero(self):
         rng = np.random.default_rng(15)
-        z = Tensor(np.zeros((4, 3, 3)))
+        z = Tensor(np.zeros((2, 4, 3, 3)))
         m = ModalityFeatures(z, z, z)
         p = init_concat_fuse(4, rng)
         p.b.data = np.zeros(4)
@@ -205,6 +213,8 @@ class TestConcatFuse:
         rng = np.random.default_rng(16)
         m = make_feats(rng, c=3, h=2, w=2)
         p = init_concat_fuse(3, rng)
-        cat = np.concatenate([m.h1.data, m.h2.data, m.h3.data], 0).reshape(9, 4)
-        expect = (p.w.data.reshape(3, 9) @ cat + p.b.data[:, None]).reshape(3, 2, 2)
-        assert np.abs(concat_fuse(m, p).data - expect).max() < 1e-10
+        got = concat_fuse(m, p).data
+        for i in range(2):
+            cat = np.concatenate(sample(m, i), 0).reshape(9, 4)
+            expect = (p.w.data.reshape(3, 9) @ cat + p.b.data[:, None]).reshape(3, 2, 2)
+            assert np.abs(got[i] - expect).max() < 1e-10

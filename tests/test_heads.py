@@ -22,47 +22,47 @@ class TestHeadForward:
     def test_zero_weights_give_bias(self):
         p = init_head(6, 3)
         p.bias.data = np.array([0.5, -1.0, 2.0])
-        feat = Tensor(rng.normal(size=(6, 2, 2)))
-        npt.assert_allclose(head_forward(feat, p).data, [0.5, -1.0, 2.0])
+        feat = Tensor(rng.normal(size=(2, 6, 2, 2)))
+        npt.assert_allclose(head_forward(feat, p).data, [[0.5, -1.0, 2.0]] * 2)
 
     def test_constant_feature(self):
         c = 1.75
         p = init_head(4, 2)
         p.weight.data = rng.normal(size=(4, 2))
         p.bias.data = np.array([0.1, 0.2])
-        feat = Tensor(np.full((4, 3, 3), c))
-        expect = c * p.weight.data.sum(axis=0) + p.bias.data
+        feat = Tensor(np.full((1, 4, 3, 3), c))
+        expect = [c * p.weight.data.sum(axis=0) + p.bias.data]
         npt.assert_allclose(head_forward(feat, p).data, expect, rtol=1e-12)
 
     def test_matches_direct_pool_then_linear(self):
         p = init_head(5, 3)
         p.weight.data = rng.normal(size=(5, 3))
         p.bias.data = rng.normal(size=3)
-        feat = rng.normal(size=(5, 4, 4))
-        expect = feat.mean(axis=(1, 2)) @ p.weight.data + p.bias.data
+        feat = rng.normal(size=(2, 5, 4, 4))
+        expect = feat.mean(axis=(2, 3)) @ p.weight.data + p.bias.data
         assert np.abs(head_forward(Tensor(feat), p).data - expect).max() < 1e-12
 
     def test_gradients(self):
         p = init_head(4, 3)
         p.weight.data = rng.normal(size=(4, 3))
         p.bias.data = rng.normal(size=3)
-        feat = param(rng.normal(size=(4, 2, 2)))
+        feat = param(rng.normal(size=(2, 4, 2, 2)))
         assert_gradients_close(
-            lambda: total_loss([head_forward(feat, p)], [2]),
+            lambda: total_loss([head_forward(feat, p)], [[2, 0]]),
             {"feat": feat, **p.tensors()})
 
 
 class TestTotalLoss:
     def test_uniform_logits(self):
-        logits = [Tensor(np.zeros(4)) for _ in range(4)]
-        loss = total_loss(logits, [0, 1, 2, 3])
+        logits = [Tensor(np.zeros((1, 4))) for _ in range(4)]
+        loss = total_loss(logits, [[0], [1], [2], [3]])
         assert abs(loss.item() - 4 * math.log(4)) < 1e-12
 
     def test_certain_correct_tasks_vanish(self):
         gap = 100.0
-        certain = Tensor(np.array([gap, 0.0]))
-        uniform = Tensor(np.zeros(2))
-        loss = total_loss([uniform, certain, certain, certain], [0, 0, 0, 0])
+        certain = Tensor(np.array([[gap, 0.0]]))
+        uniform = Tensor(np.zeros((1, 2)))
+        loss = total_loss([uniform, certain, certain, certain], [[0], [0], [0], [0]])
         assert abs(loss.item() - math.log(2)) < 1e-12
 
     def test_matches_direct_formula(self):
@@ -73,27 +73,35 @@ class TestTotalLoss:
             p = np.exp(lg - lg.max())
             p /= p.sum()
             expect += -math.log(p[y])
-        loss = total_loss([Tensor(lg) for lg in logits], labels)
+        loss = total_loss([Tensor(lg[None]) for lg in logits], [[y] for y in labels])
         assert abs(loss.item() - expect) < 1e-12
+
+    def test_batch_mean_of_sample_sums(self):
+        logits = [rng.normal(size=(3, k)) for k in (4, 3, 5, 2)]
+        labels = [[2, 0, 1], [0, 2, 2], [4, 4, 0], [1, 0, 1]]
+        per_sample = [total_loss([Tensor(lg[n:n + 1]) for lg in logits],
+                                 [[ys[n]] for ys in labels]).item() for n in range(3)]
+        loss = total_loss([Tensor(lg) for lg in logits], labels)
+        assert abs(loss.item() - np.mean(per_sample)) < 1e-12
 
     def test_loss_nonnegative(self):
         for _ in range(20):
-            logits = [Tensor(rng.normal(scale=5, size=3)) for _ in range(4)]
-            labels = [int(rng.integers(3)) for _ in range(4)]
+            logits = [Tensor(rng.normal(scale=5, size=(2, 3))) for _ in range(4)]
+            labels = [rng.integers(3, size=2).tolist() for _ in range(4)]
             assert total_loss(logits, labels).item() >= 0.0
 
     def test_decomposes_into_task_losses(self):
-        logits = [Tensor(rng.normal(size=4)) for _ in range(4)]
-        labels = [1, 2, 0, 3]
+        logits = [Tensor(rng.normal(size=(2, 4))) for _ in range(4)]
+        labels = [[1, 0], [2, 2], [0, 3], [3, 1]]
         total = total_loss(logits, labels).item()
-        parts = sum(total_loss([lg], [y]).item() for lg, y in zip(logits, labels))
+        parts = sum(total_loss([lg], [ys]).item() for lg, ys in zip(logits, labels))
         assert abs(total - parts) < 1e-12
 
     def test_out_of_range_label_names_task(self):
         specs = [TaskSpec("der", 4), TaskSpec("dbr", 4)]
-        logits = [Tensor(np.zeros(4)), Tensor(np.zeros(4))]
+        logits = [Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4)))]
         with pytest.raises(InputError, match="dbr"):
-            total_loss(logits, [0, 7], specs)
+            total_loss(logits, [[0, 1], [2, 7]], specs)
 
 
 class TestMetrics:

@@ -14,10 +14,11 @@ from mmtl.ablate import variant_config
 from mmtl.bench import bench_fps
 from mmtl.config import ModelConfig
 from mmtl.data import SyntheticRecipe, generate_synthetic
-from mmtl.errors import ConfigError
+from mmtl.errors import ConfigError, InputError
+from mmtl.joints import JointSequence
 from mmtl.model import Model, count_params
 from mmtl.optim import OptimizerState, sgd_step
-from mmtl.tensor import Tape, backward
+from mmtl.tensor import Tape, backward, scale
 from mmtl.train import batch_loss, evaluate, run_toy_training
 
 TOY = ModelConfig(frame_count=4, channels=24, height=3, width=3, view_height=10,
@@ -87,13 +88,108 @@ class TestForward:
 class TestOpCount:
     # tape nodes for one train-mode sample, pinned: a change that adds ops to
     # the forward pass must update these counts on purpose
-    @pytest.mark.parametrize("cfg,nodes", [(ModelConfig(), 215), (TOY, 173)],
+    @pytest.mark.parametrize("cfg,nodes", [(ModelConfig(), 214), (TOY, 172)],
                              ids=["default", "toy"])
     def test_tape_nodes_per_train_sample(self, cfg, nodes):
         model = Model(cfg)
         with Tape() as tape:
             batch_loss(model, toy_samples(1, cfg=cfg), train=True)
         assert len(tape) == nodes
+
+    def test_batch_of_eight_records_as_many_nodes_as_one(self):
+        # one batched forward and a batch-mean loss: the tape does not grow with N
+        counts = []
+        for n in (1, 8):
+            with Tape() as tape:
+                batch_loss(Model(TOY), toy_samples(n), train=True)
+            counts.append(len(tape))
+        assert counts[0] == counts[1]
+
+
+# every ablation: the five flags, each dropped modality, one dropped task
+ABLATIONS = ["full", "no_mgmi", "no_dual_scan", "no_global_local", "no_self_attention",
+             "no_multi_gating", "drop_exterior", "drop_interior", "drop_joints",
+             "drop_task"]
+
+
+def ablation_config(name):
+    if name == "full":
+        return TOY
+    if name == "drop_task":
+        return TOY.replace(drop_tasks=("tcr",))
+    if name.startswith("drop_"):
+        return TOY.replace(drop_modalities=(name[len("drop_"):],))
+    return TOY.replace(**{name: True})
+
+
+def relative_gap(got, want):
+    return float(np.abs(np.asarray(got) - want).max()) / max(float(np.abs(want).max()), 1e-300)
+
+
+class TestBatchedForward:
+    """One ``Model.forward`` on N samples against N one-sample passes."""
+
+    N = 5
+
+    @pytest.mark.parametrize("name", ABLATIONS)
+    def test_eval_matches_forward_sample(self, name):
+        cfg = ablation_config(name)
+        model = with_random_heads(Model(cfg))
+        samples = toy_samples(self.N, seed=2, cfg=cfg)
+        batched = model.forward(samples, train=False)
+        for i, s in enumerate(samples):
+            single = model.forward_sample(s, train=False)
+            for task, lg in single.logits.items():
+                assert relative_gap(batched.logits[task].data[i], lg.data) <= 1e-12
+            if single.telemetry is None:
+                assert batched.telemetry is None
+            else:
+                assert relative_gap(batched.telemetry[i], single.telemetry) <= 1e-12
+
+    @pytest.mark.parametrize("name", ABLATIONS)
+    def test_train_loss_and_gradients_match_per_sample_loop(self, name):
+        cfg = ablation_config(name)
+        samples = toy_samples(self.N, seed=3, cfg=cfg)
+        batched, looped = with_random_heads(Model(cfg)), with_random_heads(Model(cfg))
+        with Tape() as tape:
+            loss, _ = batch_loss(batched, samples, train=True)
+        backward(tape, loss)
+        loop_loss = 0.0
+        for s in samples:           # gradients of the mean accumulate over the loop
+            with Tape() as tape:
+                term, _ = batch_loss(looped, [s], train=True)
+                term = scale(term, 1.0 / self.N)
+            backward(tape, term)
+            loop_loss += term.item()
+        assert relative_gap(loss.item(), loop_loss) <= 1e-12
+        # biases ahead of a batch norm have an exactly zero gradient, whose
+        # rounding residue has no scale of its own: compare against the largest
+        grads = {name: p.grad for name, p in looped.parameters().items()}
+        largest = max(float(np.abs(g).max()) for g in grads.values())
+        for pname, p in batched.parameters().items():
+            gap = float(np.abs(p.grad - grads[pname]).max())
+            assert gap <= 1e-12 * largest, pname
+        stats = zip(batched._running_stats().values(), looped._running_stats().values())
+        for mine, theirs in stats:
+            assert relative_gap(mine.mean, theirs.mean) <= 1e-12
+            assert relative_gap(mine.var, theirs.var) <= 1e-12
+
+    def test_mismatched_sample_named(self):
+        samples = toy_samples(3)
+        odd = toy_samples(1, cfg=TOY.replace(view_height=12, view_width=12))[0]
+        odd.sample_id = "odd_one"
+        with pytest.raises(InputError, match="sample 2 \\(odd_one\\)"):
+            Model(TOY).forward(samples[:2] + [odd])
+
+    def test_mismatched_joints_named(self):
+        samples = toy_samples(2)
+        samples[1].joints = JointSequence(samples[1].joints.joints[:2])
+        with pytest.raises(InputError, match="sample 1 .* joints"):
+            Model(TOY).forward(samples)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(InputError):
+            Model(TOY).forward([])
 
 
 class TestParamCount:

@@ -85,31 +85,31 @@ class TestScan:
         # T=1: y1 = <c, b>*x1 + d*x1
         rng = np.random.default_rng(2)
         p = draw_params(3, 4, rng)
-        x = rng.normal(size=(1, 3, 5))
+        x = rng.normal(size=(2, 1, 3, 5))
         y = scan(Tensor(x), *p).data
         cb = np.einsum("cn,cn->c", p.C.data, p.B.data)
-        expect = (cb + p.D.data)[None, :, None] * x
+        expect = (cb + p.D.data)[None, None, :, None] * x
         npt.assert_allclose(y, expect, rtol=1e-12)
 
     def test_prefix_sums(self):
         p = make_params(np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)),
                         np.zeros(1))
-        x = Tensor(np.array([1.0, 2.0, 3.0]).reshape(3, 1, 1))
+        x = Tensor(np.array([1.0, 2.0, 3.0]).reshape(1, 3, 1, 1))
         npt.assert_allclose(scan(x, *p).data.reshape(-1), [1.0, 3.0, 6.0], rtol=1e-14)
 
     def test_backward_is_reverse_forward_reverse(self):
         rng = np.random.default_rng(3)
         p = draw_params(4, 3, rng)
-        x = rng.normal(size=(6, 4, 5))
+        x = rng.normal(size=(2, 6, 4, 5))
         got = scan(Tensor(x), *p, ScanDirection.BACKWARD).data
-        expect = scan(Tensor(x[::-1].copy()), *p).data[::-1]
+        expect = scan(Tensor(x[:, ::-1].copy()), *p).data[:, ::-1]
         assert np.array_equal(got, expect)
 
     def test_transition_clamped_for_positive_a(self):
         # a > 0 behaves exactly like a = 0 (running sum), keeping states bounded
         p_pos = make_params(np.full((1, 1), 2.0), np.ones((1, 1)), np.ones((1, 1)),
                             np.zeros(1))
-        x = Tensor(np.ones((4, 1, 1)))
+        x = Tensor(np.ones((1, 4, 1, 1)))
         npt.assert_allclose(scan(x, *p_pos).data.reshape(-1), [1.0, 2.0, 3.0, 4.0],
                             rtol=1e-14)
 
@@ -118,10 +118,11 @@ class TestScan:
     def test_matches_unrolled_oracle(self, direction, t, n):
         rng = np.random.default_rng(4)
         p = draw_params(3, n, rng)
-        x = rng.normal(size=(t, 3, 4))
+        x = rng.normal(size=(2, t, 3, 4))
         got = scan(Tensor(x), *p, direction).data
-        ref = oracles.scan_unrolled(x, p.A.data, p.B.data, p.C.data, p.D.data,
-                                    backward=direction is ScanDirection.BACKWARD)
+        ref = np.stack([oracles.scan_unrolled(xi, p.A.data, p.B.data, p.C.data, p.D.data,
+                                              backward=direction is ScanDirection.BACKWARD)
+                        for xi in x])
         assert np.abs(got - ref).max() < 1e-12
 
     @given(st.integers(0, 10_000))
@@ -129,8 +130,8 @@ class TestScan:
     def test_linearity_in_input(self, seed):
         rng = np.random.default_rng(seed)
         p = draw_params(2, 2, rng)
-        x1 = rng.normal(size=(4, 2, 3))
-        x2 = rng.normal(size=(4, 2, 3))
+        x1 = rng.normal(size=(2, 4, 2, 3))
+        x2 = rng.normal(size=(2, 4, 2, 3))
         al, be = rng.normal(), rng.normal()
         lhs = scan(Tensor(al * x1 + be * x2), *p).data
         rhs = al * scan(Tensor(x1), *p).data + be * scan(Tensor(x2), *p).data
@@ -139,10 +140,10 @@ class TestScan:
     def test_channel_mismatch(self):
         p = draw_params(2, 2, np.random.default_rng(6))
         with pytest.raises(DimensionError):
-            scan(Tensor(np.zeros((3, 5, 2))), *p)
+            scan(Tensor(np.zeros((1, 3, 5, 2))), *p)
 
     def test_shape_mismatch(self):
-        x = Tensor(np.zeros((3, 2, 4)))
+        x = Tensor(np.zeros((1, 3, 2, 4)))
         with pytest.raises(DimensionError):        # state widths differ
             scan(x, *make_params(np.zeros((3, 2)), np.zeros((3, 3)), np.zeros((3, 2)),
                                  np.zeros(3)))
@@ -153,8 +154,8 @@ class TestScan:
     def test_gradients(self):
         rng = np.random.default_rng(7)
         p = draw_params(3, 2, rng)
-        x = param(rng.normal(size=(4, 3, 2)))
-        probe = Tensor(rng.normal(size=(4, 3, 2)))   # uneven in time, unlike tsum alone
+        x = param(rng.normal(size=(2, 4, 3, 2)))
+        probe = Tensor(rng.normal(size=(2, 4, 3, 2)))   # uneven in time, unlike tsum alone
         for direction in (ScanDirection.FORWARD, ScanDirection.BACKWARD):
             assert_gradients_close(lambda: tsum(mul(scan(x, *p, direction), probe)),
                                    {"x": x, **p._asdict()})
@@ -163,7 +164,7 @@ class TestScan:
     def test_backward_scan_records_one_node(self):
         rng = np.random.default_rng(9)
         p = draw_params(3, 2, rng)
-        x = param(rng.normal(size=(4, 3, 2)))
+        x = param(rng.normal(size=(2, 4, 3, 2)))
         with Tape() as tape:
             scan(x, *p, ScanDirection.BACKWARD)
         assert [n.op for n in tape.nodes] == ["ssm_scan"]
@@ -172,7 +173,7 @@ class TestScan:
         rng = np.random.default_rng(13)
         p = draw_params(3, 2, rng)
         p.A.data[1, 0] = 0.5
-        x = Tensor(rng.normal(size=(5, 3, 4)))
+        x = Tensor(rng.normal(size=(2, 5, 3, 4)))
         for direction in (ScanDirection.FORWARD, ScanDirection.BACKWARD):
             p.A.grad = None
             with Tape() as tape:
@@ -184,7 +185,7 @@ class TestScan:
     def test_scan_routes_gradients_to_leading_rows(self):
         rng = np.random.default_rng(8)
         p = draw_params(6, 2, rng)
-        x = Tensor(rng.normal(size=(3, 2, 4)))
+        x = Tensor(rng.normal(size=(2, 3, 2, 4)))
         with Tape() as tape:
             loss = tsum(scan(x, *p))
         backward(tape, loss)
