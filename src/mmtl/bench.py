@@ -51,7 +51,8 @@ def bench_fps(config: ModelConfig, batch_size: int = 1, duration: float = 2.0,
               threads: int = 1, seed: int = 0,
               weights_dir: str = None) -> BenchRecord:
     """Measure end-to-end sample throughput of the inference path, summed
-    over `threads` forked worker processes."""
+    over `threads` forked worker processes. Each timed batch is one
+    `Model.forward` over `batch_size` samples."""
     if duration <= 0:
         raise ArgumentError("bench: duration must be positive")
     if batch_size <= 0 or threads <= 0:
@@ -67,8 +68,7 @@ def bench_fps(config: ModelConfig, batch_size: int = 1, duration: float = 2.0,
 
     def run_batch() -> float:
         t0 = time.perf_counter()
-        for s in samples:
-            model.forward_sample(s, train=False)
+        model.forward(samples, train=False)
         return (time.perf_counter() - t0) * 1e3
 
     if threads == 1:

@@ -28,7 +28,6 @@ from .tensor import Tensor, add, concat, glorot, param, reshape, scale_by, scale
 
 EXTERIOR_VIEWS = ("front", "left", "right")
 INTERIOR_VIEWS = ("inside", "face", "body")
-VIEWS_PER_BRANCH = 3
 
 GLOBAL_POOL_GRID = 3  # coarse grid of the global path's adaptive pooling
 

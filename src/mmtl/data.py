@@ -43,7 +43,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blocks import EXTERIOR_VIEWS, INTERIOR_VIEWS, ViewSequence
+from .blocks import EXTERIOR_VIEWS, ViewSequence
 from .config import MODALITIES, TASKS, ModelConfig
 from .errors import ArgumentError, InputError
 from .joints import JointSequence
@@ -52,7 +52,6 @@ from .tensor import Tensor
 
 log = logging.getLogger(__name__)
 
-ALL_VIEWS = EXTERIOR_VIEWS + INTERIOR_VIEWS
 STORED_VIEWS = ("front", "left", "right", "inside")
 
 

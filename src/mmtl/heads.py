@@ -108,11 +108,6 @@ def compute_metrics(predictions: Dict[str, Sequence[int]],
     return TaskMetrics(accuracy=acc)
 
 
-METRICS_FIELDS = ("epoch", "loss_total", "loss_der", "loss_dbr", "loss_tcr",
-                  "loss_vbr", "acc_der", "acc_dbr", "acc_tcr", "acc_vbr", "macc",
-                  "gate_telemetry", "param_count", "fps")
-
-
 def format_metrics_record(m: TaskMetrics) -> str:
     """One line of the structured-text metrics log, fixed field order."""
     parts = [f"epoch={m.epoch}", f"loss_total={m.loss_total:.6f}"]

@@ -8,12 +8,14 @@ follows it and treats the N samples independently, the channel maps included:
 they are. Convolutions use the cross-correlation convention (no kernel flip)
 and zero padding; output spatial size is floor((in + 2*pad - k)/stride) + 1.
 
-The convolutions share one im2col pair: ``_windows`` builds columns
-[C, k, N, *out], one contiguous copy per kernel offset, so a convolution is one
-matmul over all N x output positions; ``_unwindow`` is its adjoint for the
-backward pass. Pooling (avg_pool, adaptive_avg_pool, expand_bins) is a fixed
-linear map along each spatial axis: one averaging matrix per axis, applied
-axis by axis over all N*C rows at once, with the transposes in the backward.
+The convolutions share one grouped kernel, ``_grouped_conv``: ``convolve`` is
+its one-group case and ``depthwise_conv2d`` its one-group-per-channel case. It
+reads the im2col columns [C, k, N, *out] that ``_windows`` builds, one
+contiguous copy per kernel offset, so a convolution is one matmul over all
+N x output positions; ``_unwindow`` is its adjoint for the backward pass.
+Pooling (avg_pool, adaptive_avg_pool, expand_bins) is a fixed linear map along
+each spatial axis: one averaging matrix per axis, applied axis by axis over
+all N*C rows at once, with the transposes in the backward.
 """
 
 from __future__ import annotations
@@ -120,14 +122,37 @@ def _unwindow(dcols: np.ndarray, x_shape, kernel, stride, pad) -> np.ndarray:
     return dxp[inner].swapaxes(0, 1)
 
 
-def _batch_first(y: np.ndarray, channels: int, n: int, out_sp: tuple) -> np.ndarray:
-    """[C, N * prod(out)] matmul result -> [N, C, *out]."""
-    return y.reshape((channels, n) + out_sp).swapaxes(0, 1)
+def _grouped_conv(op: str, x: Tensor, w: Tensor, b: Optional[Tensor], groups: int,
+                  stride: tuple, pad: tuple) -> Tensor:
+    """Grouped cross-correlation, recorded as one node named ``op``: x [N, Cin, *sp]
+    and w holding [G, Cout/G, Cin/G, *k] in row-major order -> [N, Cout, *out].
+    Group g reads only its Cin/G input channels, the block from g*Cin/G, and
+    writes only its Cout/G output channels, the block from g*Cout/G: one
+    matmul of w [G, Cout/G, Cin/G * k] by the columns read as
+    [G, Cin/G * k, N * prod(out)]."""
+    n, cin = x.shape[:2]
+    kernel = w.shape[2:]
+    cols = _windows(x.data, kernel, stride, pad, op)     # [Cin, k, N, *out]
+    out_sp = cols.shape[3:]
+    cols = cols.reshape(groups, cin // groups * cols.shape[1], -1)
+    w3 = w.data.reshape(groups, -1, cols.shape[1])
+    cout = groups * w3.shape[1]
+    y = np.matmul(w3, cols)                              # [G, Cout/G, N*out]
+    if b is not None:
+        y = y + b.data.reshape(groups, -1, 1)
+    out = Tensor(y.reshape((cout, n) + out_sp).swapaxes(0, 1))
 
+    def back(g):
+        g3 = g.swapaxes(0, 1).reshape(groups, -1, cols.shape[2])
+        accumulate(w, np.matmul(g3, cols.transpose(0, 2, 1)).reshape(w.shape))
+        if b is not None:
+            accumulate(b, g3.sum(axis=2).reshape(-1))
+        if x.requires_grad:
+            dcols = np.matmul(w3.transpose(0, 2, 1), g3).reshape((cin, -1, n) + out_sp)
+            accumulate(x, _unwindow(dcols, x.shape, kernel, stride, pad))
 
-def _channels_first(g: np.ndarray) -> np.ndarray:
-    """[N, C, *out] gradient -> [C, N * prod(out)], the inverse of _batch_first."""
-    return g.swapaxes(0, 1).reshape(g.shape[1], -1)
+    ins = (x, w) if b is None else (x, w, b)
+    return record(op, ins, out, back)
 
 
 def convolve(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
@@ -139,32 +164,9 @@ def convolve(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     if x.shape[1] != w.shape[1]:
         raise DimensionError(
             f"convolve: input channels {x.shape[1]} != kernel channels {w.shape[1]}")
-    stride = _as_tuple(stride, nd)
-    pad = _as_tuple(padding, nd)
-    kernel = w.shape[2:]
-    n, cin, cout = x.shape[0], x.shape[1], w.shape[0]
-    cols = _windows(x.data, kernel, stride, pad, "convolve")  # [Cin, k, N, *out]
-    out_sp = cols.shape[3:]
-    cols = cols.reshape(cin * cols.shape[1], -1)
-    w2 = w.data.reshape(cout, -1)
-    y = w2 @ cols
-    if b is not None:
-        if b.shape != (cout,):
-            raise DimensionError(f"convolve: bias {b.shape} vs out channels {cout}")
-        y = y + b.data[:, None]
-    out = Tensor(_batch_first(y, cout, n, out_sp))
-
-    def back(g):
-        g2 = _channels_first(g)
-        accumulate(w, (g2 @ cols.T).reshape(w.shape))
-        if b is not None:
-            accumulate(b, g2.sum(axis=1))
-        if x.requires_grad:
-            dcols = (w2.T @ g2).reshape((cin, -1, n) + out_sp)
-            accumulate(x, _unwindow(dcols, x.shape, kernel, stride, pad))
-
-    ins = (x, w) if b is None else (x, w, b)
-    return record("convolve", ins, out, back)
+    if b is not None and b.shape != (w.shape[0],):
+        raise DimensionError(f"convolve: bias {b.shape} vs out channels {w.shape[0]}")
+    return _grouped_conv("convolve", x, w, b, 1, _as_tuple(stride, nd), _as_tuple(padding, nd))
 
 
 def depthwise_conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
@@ -173,32 +175,11 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     w [C, M, kh, kw] -> [N, C*M, H', W'] with output channel c*M+m."""
     if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[0]:
         raise DimensionError(f"depthwise_conv2d: x {x.shape} vs kernels {w.shape}")
-    stride = _as_tuple(stride, 2)
-    pad = _as_tuple(padding, 2)
-    n, c, m = x.shape[0], w.shape[0], w.shape[1]
-    kernel = w.shape[2:]
-    cols = _windows(x.data, kernel, stride, pad, "depthwise_conv2d")
-    out_sp = cols.shape[3:]
-    cols = cols.reshape(c, cols.shape[1], -1)
-    w2 = w.data.reshape(c, m, -1)
-    y = np.matmul(w2, cols)                              # [C, M, N*out]
-    if b is not None:
-        if b.shape != (c * m,):
-            raise DimensionError(f"depthwise_conv2d: bias {b.shape} vs {c * m} channels")
-        y = y + b.data.reshape(c, m)[:, :, None]
-    out = Tensor(_batch_first(y, c * m, n, out_sp))
-
-    def back(g):
-        g3 = _channels_first(g).reshape(c, m, -1)
-        accumulate(w, np.matmul(g3, cols.transpose(0, 2, 1)).reshape(w.shape))
-        if b is not None:
-            accumulate(b, g3.sum(axis=2).reshape(-1))
-        if x.requires_grad:
-            dcols = np.matmul(w2.transpose(0, 2, 1), g3).reshape((c, -1, n) + out_sp)
-            accumulate(x, _unwindow(dcols, x.shape, kernel, stride, pad))
-
-    ins = (x, w) if b is None else (x, w, b)
-    return record("depthwise_conv2d", ins, out, back)
+    c, m = w.shape[:2]
+    if b is not None and b.shape != (c * m,):
+        raise DimensionError(f"depthwise_conv2d: bias {b.shape} vs {c * m} channels")
+    return _grouped_conv("depthwise_conv2d", x, w, b, c, _as_tuple(stride, 2),
+                         _as_tuple(padding, 2))
 
 
 def grouped_pointwise(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
@@ -243,6 +224,7 @@ def _averaging_matrix(length: int, windows: tuple) -> np.ndarray:
     return m
 
 
+@functools.lru_cache(maxsize=256)
 def _bin_windows(length: int, target: int, divisor=None) -> tuple:
     # bin j covers [ceil(j*L/t), ceil((j+1)*L/t)); e.g. 5 -> 2 gives {0,1,2},{3,4}
     edges = [-(-(j * length) // target) for j in range(target + 1)]

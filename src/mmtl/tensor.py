@@ -57,23 +57,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
 
 def param(data) -> Tensor:
     """Create a trainable leaf tensor."""
@@ -187,26 +170,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         accumulate(b, g)
 
     return record("add", (a, b), out, back)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "sub")
-    out = Tensor(a.data - b.data)
-
-    def back(g):
-        accumulate(a, g)
-        accumulate(b, -g)
-
-    return record("sub", (a, b), out, back)
-
-
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-
-    def back(g):
-        accumulate(a, -g)
-
-    return record("neg", (a,), out, back)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

@@ -90,6 +90,12 @@ def _check_tensor_core(rng, corrupt):
     probe("depthwise_s2", lambda: ops.depthwise_conv2d(xs, ws, stride=2, padding=1),
           {"x": xs, "w": ws})
 
+    xw = param(rng.normal(size=(n, 6, 3, 3)))      # the stem's frame groups, G=2
+    ww = param(rng.normal(size=(2, 4, 3)))
+    bw = param(rng.normal(size=(8,)))
+    probe("grouped_pointwise", lambda: ops.grouped_pointwise(xw, ww, bw),
+          {"x": xw, "w": ww, "b": bw})
+
     x1 = param(rng.normal(size=(n, 16, 24)))       # the block's [N, L, C] layout
     w1 = param(rng.normal(size=(16, 16, 3)))
     probe("conv1d", lambda: ops.convolve(x1, w1, padding=1), {"x": x1, "w": w1})

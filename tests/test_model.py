@@ -408,7 +408,7 @@ class TestBench:
         # Only the first worker to run a forward raises; the other one is
         # left waiting on the start barrier and must not hang the parent.
         parent, flag = os.getpid(), str(tmp_path / "failed")
-        forward = Model.forward_sample
+        forward = Model.forward
 
         def first_worker_fails(self, *args, **kwargs):
             if os.getpid() != parent:
@@ -420,7 +420,7 @@ class TestBench:
                     raise ArithmeticError("injected worker failure")
             return forward(self, *args, **kwargs)
 
-        monkeypatch.setattr(Model, "forward_sample", first_worker_fails)
+        monkeypatch.setattr(Model, "forward", first_worker_fails)
         t0 = time.perf_counter()
         with pytest.raises(ArithmeticError, match="injected worker failure"):
             bench_fps(TOY, duration=0.5, threads=2)
@@ -429,14 +429,14 @@ class TestBench:
     @needs_fork
     def test_worker_crash_raised_in_parent(self, monkeypatch):
         parent = os.getpid()
-        forward = Model.forward_sample
+        forward = Model.forward
 
         def workers_exit(self, *args, **kwargs):
             if os.getpid() != parent:
                 os._exit(3)
             return forward(self, *args, **kwargs)
 
-        monkeypatch.setattr(Model, "forward_sample", workers_exit)
+        monkeypatch.setattr(Model, "forward", workers_exit)
         t0 = time.perf_counter()
         with pytest.raises(RuntimeError, match="exit code 3"):
             bench_fps(TOY, duration=0.5, threads=2)

@@ -119,6 +119,35 @@ class TestConvolve:
         assert got.shape == ref.shape == (2, 10, 5, 5)
         assert np.abs(got - ref).max() < 1e-12
 
+    def test_depthwise_is_block_diagonal_convolve(self):
+        # W[c*M + m, c] = w[c, m], zero off the diagonal blocks: the dense
+        # convolution with W gives the depthwise output channels in c*M+m order
+        rng = np.random.default_rng(13)
+        c, m = 3, 2
+        w = rng.normal(size=(c, m, 3, 3))
+        dense = np.zeros((c * m, c, 3, 3))
+        for ch in range(c):
+            dense[ch * m:(ch + 1) * m, ch] = w[ch]
+        x0 = rng.normal(size=(2, c, 7, 6))
+        b0 = rng.normal(size=c * m)
+        probe = Tensor(rng.normal(size=(2, c * m, 4, 3)))
+
+        def run(op, kernel):
+            x, k, b = param(x0), param(kernel), param(b0)
+            with Tape() as tape:
+                y = op(x, k, b, stride=2, padding=1)
+                loss = tsum(mul(y, probe))
+            backward(tape, loss)
+            return y.data, x.grad, k.grad, b.grad
+
+        yd, dxd, dwd, dbd = run(ops.depthwise_conv2d, w)
+        yc, dxc, dwc, dbc = run(ops.convolve, dense)
+        assert np.abs(yd - yc).max() < 1e-12
+        assert np.abs(dxd - dxc).max() < 1e-12
+        assert np.abs(dbd - dbc).max() < 1e-12
+        dw_blocks = np.stack([dwc[ch * m:(ch + 1) * m, ch] for ch in range(c)])
+        assert np.abs(dwd - dw_blocks).max() < 1e-12
+
     def test_conv1d_block_layout_matches_loops(self):
         # dual_path_block: positions as channels, the C channels as the length
         rng = np.random.default_rng(11)
