@@ -6,10 +6,11 @@ axis can be recovered downstream (channel c belongs to frame c // (C/T)).
 
 The block runs two scan paths over the frame groups - a forward scan feeding
 a 3x3-average local branch and a backward scan feeding a coarse-grid global
-branch - merges them under a per-channel sigmoid gate, and adds the result
-back onto the input through a learnable scalar:
+branch - merges them under a per-channel sigmoid gate, projects the merge
+with a linear channel map W_out (weight and bias), and adds the result back
+onto the input through a learnable scalar:
 
-    out = x + gamma * LN(gate (x) (local + global))
+    out = x + gamma * W_out(gate (x) (local + global))
 """
 
 from __future__ import annotations

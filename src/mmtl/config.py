@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import dataclasses
+import math
 from dataclasses import dataclass, fields
 from typing import Tuple
 
@@ -71,6 +72,14 @@ class ModelConfig:
                 raise ConfigError(f"drop_modalities: unknown modality '{m}'")
         if set(self.drop_modalities) >= set(MODALITIES):
             raise ConfigError("drop_modalities: cannot drop every modality")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be non-negative, got {self.seed}")
+        for name in ("base_lr", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name}: must be finite and non-negative, got {value}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum: must lie in [0, 1), got {self.momentum}")
 
     @property
     def active_tasks(self) -> Tuple[str, ...]:

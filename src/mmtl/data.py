@@ -1,5 +1,5 @@
-"""Sample bundles, synthetic data with planted task signals, the on-disk
-sample layout, and flip augmentation.
+"""Sample bundles, synthetic data with planted task signals, and the on-disk
+sample layout.
 
 A synthetic sample hides one low-frequency pattern per (task, class) inside
 that task's designated modality, so a nearest-template classifier - and a
@@ -25,16 +25,16 @@ warning when a file is missing or malformed: a view with no frames, a frame
 path that is a directory, a bad tensor or joints header, a truncated payload, a
 frame that is not [3, H, W] or not the shape of its view's first frame, or a
 boxes or labels file that is not the expected ASCII integers (boxes inside the
-frame and non-empty, labels within their task's classes), or a view or joints
-file whose frame count, or a joints file whose joint count, is not the
-config's: the model batches samples, so each must have the config's shapes.
+frame and non-empty, labels within their task's classes), a view or joints
+file holding a NaN or infinite value, or a view or joints file whose frame
+count, or a joints file whose joint count, is not the config's: the model
+batches samples, so each must have the config's shapes.
 """
 
 from __future__ import annotations
 
 import fnmatch
 import hashlib
-import itertools
 import logging
 import os
 from dataclasses import dataclass, field
@@ -255,82 +255,6 @@ def _modality_contributions(recipe: SyntheticRecipe, mod: str):
     return out
 
 
-def template_predict(bundle: SampleBundle, recipe: SyntheticRecipe, task: str,
-                     config: Optional[ModelConfig] = None) -> int:
-    """Nearest-template classification of one task from its designated modality.
-
-    Candidates are the composite planted fields over every class assignment of
-    the tasks sharing that modality, compared by cosine similarity: exact at
-    zero noise because the true field is among the candidates.
-    """
-    cfg = config or ModelConfig()
-    mod = recipe.designated[task]
-    contribs = _modality_contributions(recipe, mod)
-
-    if mod == "joints":
-        observed = bundle.joints.joints - 0.5
-        patterns = [[amp * joint_pattern(recipe, t, cls, cfg.frame_count,
-                                         cfg.joint_count)
-                     for cls in range(cfg.num_classes(t))]
-                    for t, amp, _ in contribs]
-    else:
-        view_id = "inside" if mod == "interior" else "front"
-        observed = bundle.view(view_id).frames - 0.5
-        patterns = [[amp * view_pattern(recipe, t, cls, cfg.frame_count,
-                                        cfg.view_height, cfg.view_width)
-                     for cls in range(cfg.num_classes(t))]
-                    for t, amp, _ in contribs]
-
-    task_pos = next(i for i, (t, _, tied) in enumerate(contribs)
-                    if t == task and tied)
-    obs_norm = np.linalg.norm(observed)
-    best_score, best_cls = -np.inf, 0
-    for assignment in itertools.product(*(range(len(p)) for p in patterns)):
-        field = sum(patterns[i][cls] for i, cls in enumerate(assignment))
-        denom = obs_norm * np.linalg.norm(field)
-        score = float(np.sum(observed * field)) / denom if denom > 0 else 0.0
-        if score > best_score:
-            best_score = score
-            best_cls = assignment[task_pos]
-    return int(best_cls)
-
-
-# ---------------------------------------------------------------------------
-# augmentation
-# ---------------------------------------------------------------------------
-
-def augment(bundle: SampleBundle, seed: int) -> SampleBundle:
-    """Random horizontal and vertical flips (p=0.5 each), applied consistently
-    to every view, every frame, and the joint coordinates of one sample."""
-    rng = np.random.default_rng([seed, 0xF11B])
-    flip_h = bool(rng.random() < 0.5)
-    flip_v = bool(rng.random() < 0.5)
-
-    def flip_frames(frames: np.ndarray) -> np.ndarray:
-        out = frames
-        if flip_h:
-            out = out[:, :, :, ::-1]
-        if flip_v:
-            out = out[:, :, ::-1, :]
-        return np.ascontiguousarray(out)
-
-    joints = bundle.joints.joints.copy()
-    if flip_h:
-        joints[:, :, 0] = 1.0 - joints[:, :, 0]
-    if flip_v:
-        joints[:, :, 1] = 1.0 - joints[:, :, 1]
-
-    return SampleBundle(
-        exterior=tuple(ViewSequence(v.view_id, flip_frames(v.frames))
-                       for v in bundle.exterior),
-        interior=tuple(ViewSequence(v.view_id, flip_frames(v.frames))
-                       for v in bundle.interior),
-        joints=JointSequence(joints),
-        labels=dict(bundle.labels),
-        sample_id=bundle.sample_id,
-    )
-
-
 # ---------------------------------------------------------------------------
 # on-disk layout
 # ---------------------------------------------------------------------------
@@ -416,6 +340,8 @@ def _load_one_sample(base: str, cfg: ModelConfig) -> SampleBundle:
         if len(frames) != cfg.frame_count:
             raise InputError(f"{sid}: view {vid} has {len(frames)} frames, not the "
                              f"config's {cfg.frame_count}")
+        if not np.isfinite(frames).all():    # before the clip, which maps +-inf into [0, 1]
+            raise InputError(f"{sid}: view {vid} holds a non-finite pixel")
         views[vid] = np.clip(frames, 0.0, 1.0, out=frames)
 
     lines = _read(os.path.join(base, "boxes.txt")).strip().splitlines()
@@ -431,6 +357,8 @@ def _load_one_sample(base: str, cfg: ModelConfig) -> SampleBundle:
         raise InputError(f"{sid}: joints.t3jt holds {joints.shape[0]} frames of "
                          f"{joints.shape[1]} joints, not the config's {cfg.frame_count} "
                          f"of {cfg.joint_count}")
+    if not np.isfinite(joints).all():
+        raise InputError(f"{sid}: joints.t3jt holds a non-finite value")
 
     raw = _read_ints(_read(os.path.join(base, "labels.txt")), len(TASKS),
                      f"{sid}: labels.txt")

@@ -29,10 +29,6 @@ class JointSequence:
             raise InputError(f"joints must be [T, J, 3], got {self.joints.shape}")
 
     @property
-    def frame_count(self) -> int:
-        return self.joints.shape[0]
-
-    @property
     def joint_count(self) -> int:
         return self.joints.shape[1]
 

@@ -1,5 +1,5 @@
 """SGD with momentum and coupled weight decay, plus the step-down learning
-rate schedule and patience-based early stopping.
+rate schedule.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from typing import Dict
 
 import numpy as np
 
-from .errors import ArgumentError, TrainingDiverged
+from .errors import TrainingDiverged
 from .tensor import Tensor
 
 
@@ -56,24 +56,3 @@ def sgd_step(state: OptimizerState, params: Dict[str, Tensor]) -> None:
         state.velocity[name] = v
         p.data = p.data - lr * v
 
-
-class EarlyStopper:
-    """Stop when validation mean accuracy fails to improve by at least
-    ``min_delta`` (percentage points) for ``patience`` consecutive epochs."""
-
-    def __init__(self, min_delta_pp: float = 0.1, patience: int = 15):
-        if patience <= 0:
-            raise ArgumentError("patience must be positive")
-        self.min_delta = min_delta_pp / 100.0
-        self.patience = patience
-        self.best = -np.inf
-        self.stale = 0
-
-    def update(self, macc: float) -> bool:
-        """Record one epoch's validation mean accuracy; True means stop."""
-        if macc >= self.best + self.min_delta:
-            self.best = macc
-            self.stale = 0
-        else:
-            self.stale += 1
-        return self.stale >= self.patience

@@ -16,7 +16,7 @@ from .data import SampleBundle, SyntheticRecipe, generate_synthetic
 from .errors import ArgumentError, TrainingDiverged
 from .heads import TaskMetrics, compute_metrics, format_metrics_record, total_loss
 from .model import Model
-from .optim import EarlyStopper, OptimizerState, sgd_step
+from .optim import OptimizerState, sgd_step
 from .tensor import Tape, backward
 
 
@@ -85,13 +85,8 @@ def evaluate(model: Model, samples: List[SampleBundle]) -> TaskMetrics:
 def run_toy_training(config: ModelConfig, recipe: SyntheticRecipe, steps: int,
                      batch_size: int = 8, train_count: int = 256,
                      val_count: int = 256, eval_every: Optional[int] = None,
-                     log_path: Optional[str] = None,
-                     stopper: Optional[EarlyStopper] = None) -> TrainResult:
-    """Train on a fresh synthetic set; deterministic for a fixed config seed.
-
-    With a ``stopper``, training halts once validation mean accuracy stalls
-    for the stopper's patience (checked at each evaluation).
-    """
+                     log_path: Optional[str] = None) -> TrainResult:
+    """Train on a fresh synthetic set; deterministic for a fixed config seed."""
     if steps < 1:
         raise ArgumentError(f"steps: must be at least 1, got {steps}")
     if not 1 <= batch_size <= train_count:
@@ -131,8 +126,6 @@ def run_toy_training(config: ModelConfig, recipe: SyntheticRecipe, steps: int,
                 if log_fh:
                     log_fh.write(format_metrics_record(metrics) + "\n")
                     log_fh.flush()
-                if stopper is not None and stopper.update(metrics.macc):
-                    break
     finally:
         if log_fh:
             log_fh.close()

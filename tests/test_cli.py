@@ -52,6 +52,13 @@ class TestParams:
         assert main(["params", "--config", str(bad)]) == 2
         assert "channels: must be positive" in capsys.readouterr().err
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TOY_CONFIG + "seed=-1\n")
+        assert main(["params", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed:") and "Traceback" not in err
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -126,6 +133,15 @@ class TestTrainToy:
     def test_bad_run_arguments_are_usage_errors(self, toy_config, capsys, args, field):
         assert main(["train-toy", "--config", toy_config, *args]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}:")
+
+    def test_nan_learning_rate_is_usage_error(self, tmp_path, capsys):
+        # a config error, not "non-finite loss at step 1" from training
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TOY_CONFIG + "base_lr=nan\n")
+        assert main(["train-toy", "--config", str(bad), "--steps", "1", "--batch", "2",
+                     "--train-count", "4", "--val-count", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: base_lr:") and "Traceback" not in err
 
     def test_dump_weights(self, toy_config, tmp_path):
         wdir = tmp_path / "weights"

@@ -12,7 +12,7 @@ from mmtl.errors import ArgumentError, InputError, TrainingDiverged
 from mmtl.gradcheck import assert_gradients_close
 from mmtl.heads import TaskSpec, compute_metrics, format_metrics_record, \
     head_forward, init_head, mean_accuracy, parse_metrics_record, total_loss
-from mmtl.optim import EarlyStopper, OptimizerState, lr_for_epoch, sgd_step
+from mmtl.optim import OptimizerState, lr_for_epoch, sgd_step
 from mmtl.tensor import Tensor, param
 
 rng = np.random.default_rng(0)
@@ -50,6 +50,10 @@ class TestHeadForward:
         assert_gradients_close(
             lambda: total_loss([head_forward(feat, p)], [[2, 0]]),
             {"feat": feat, **p.tensors()})
+
+    def test_task_spec_validation(self):
+        with pytest.raises(ArgumentError):
+            TaskSpec("der", 1)
 
 
 class TestTotalLoss:
@@ -234,23 +238,3 @@ class TestSgd:
         assert lr_for_epoch(50, 1e-3) == 5e-4
         assert lr_for_epoch(51, 1e-3) == pytest.approx(5e-5)
         assert lr_for_epoch(120, 1e-3) == pytest.approx(5e-5)
-
-
-class TestEarlyStopper:
-    def test_stops_after_patience_without_improvement(self):
-        stop = EarlyStopper(min_delta_pp=0.1, patience=3)
-        assert not stop.update(0.80)
-        assert not stop.update(0.8005)   # +0.05pp: below min delta
-        assert not stop.update(0.8002)
-        assert stop.update(0.8001)
-
-    def test_improvement_resets(self):
-        stop = EarlyStopper(min_delta_pp=0.1, patience=2)
-        assert not stop.update(0.5)
-        assert not stop.update(0.52)     # +2pp improvement
-        assert not stop.update(0.52)
-        assert stop.update(0.52)
-
-    def test_task_spec_validation(self):
-        with pytest.raises(ArgumentError):
-            TaskSpec("der", 1)
