@@ -12,7 +12,10 @@ The convolutions share one grouped kernel, ``_grouped_conv``: ``convolve`` is
 its one-group case and ``depthwise_conv2d`` its one-group-per-channel case. It
 reads the im2col columns [C, k, N, *out] that ``_windows`` builds, one
 contiguous copy per kernel offset, so a convolution is one matmul over all
-N x output positions; ``_unwindow`` is its adjoint for the backward pass.
+N x output positions. ``_unwindow`` is its adjoint for the backward pass: one
+``np.bincount`` of the column gradients over ``_read_index``, a cached
+read-only index of the input position each column entry reads (padding reads
+go to one extra bin, which is dropped).
 Pooling (avg_pool, adaptive_avg_pool, expand_bins) is a fixed linear map along
 each spatial axis: one averaging matrix per axis, applied axis by axis over
 all N*C rows at once, with the transposes in the backward.
@@ -112,14 +115,30 @@ def _windows(x: np.ndarray, kernel, stride, pad, op: str) -> np.ndarray:
     return cols
 
 
-def _unwindow(dcols: np.ndarray, x_shape, kernel, stride, pad) -> np.ndarray:
-    """Adjoint of _windows: scatter-add columns [C, k, N, *out] onto the padded
-    buffer and strip the padding, giving [N, C, *sp]."""
-    padded, inner, _, offsets = _window_layout(x_shape, kernel, stride, pad)
-    dxp = np.zeros(padded)
+@functools.lru_cache(maxsize=64)
+def _read_index(shape: tuple, kernel: tuple, stride: tuple, pad: tuple) -> np.ndarray:
+    """Read-only intp index [C, k, N, *out] of what each im2col column entry
+    of x [N, C, *sp] reads: its flat position in x, or prod(shape), one past
+    the end, where it reads the zero padding."""
+    padded, inner, out_sp, offsets = _window_layout(shape, kernel, stride, pad)
+    where = np.full(padded, math.prod(shape), dtype=np.intp)
+    where[inner] = np.arange(math.prod(shape)).reshape(shape).swapaxes(0, 1)
+    index = np.empty((shape[1], len(offsets), shape[0]) + out_sp, dtype=np.intp)
     for j, sl in enumerate(offsets):
-        dxp[sl] += dcols[:, j]
-    return dxp[inner].swapaxes(0, 1)
+        index[:, j] = where[sl]
+    index.flags.writeable = False
+    return index
+
+
+def _unwindow(dcols: np.ndarray, x_shape, kernel, stride, pad) -> np.ndarray:
+    """Adjoint of _windows: scatter-add columns [C, k, N, *out] onto x [N, C, *sp]
+    in one bincount over ``_read_index``, dropping the padding's bin. The
+    bincount adds each position's entries in kernel-offset order, as one
+    ``+=`` per offset would."""
+    size = math.prod(x_shape)
+    dx = np.bincount(_read_index(x_shape, kernel, stride, pad).reshape(-1),
+                     weights=dcols.reshape(-1), minlength=size + 1)
+    return dx[:size].reshape(x_shape)
 
 
 def _grouped_conv(op: str, x: Tensor, w: Tensor, b: Optional[Tensor], groups: int,

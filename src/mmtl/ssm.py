@@ -76,12 +76,12 @@ def _lags(frames: int) -> np.ndarray:
 
 
 def _accumulate_rows(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into the leading ``len(g)`` rows of ``t.grad``."""
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad[:len(g)] += g
+    """Add ``g`` to the leading ``len(g)`` rows of ``t.grad``: zero-padded to
+    the full shape and handed to ``accumulate``, as ``t.grad`` may be read-only
+    (the gate's gradient of A is a broadcast view)."""
+    if t.requires_grad and len(g) < len(t.data):
+        g = np.concatenate([g, np.zeros((len(t.data) - len(g),) + g.shape[1:])])
+    accumulate(t, g)
 
 
 def scan(x: Tensor, A: Tensor, B: Tensor, C: Tensor, D: Tensor,

@@ -10,6 +10,12 @@ with N samples on axis 0 and, where an op has a channel axis, the channels on
 axis 1. Broadcasting is deliberately minimal: same-shape elementwise ops,
 scalar times tensor, and a channel vector over the batch and trailing axes (a
 bias inside ``ops.linear``, a gate in ``scale_channels``).
+
+Backward closures hand their gradient arrays to ``accumulate``, which adopts
+the first one without copying and replaces the sum for each later one. A
+``.grad`` may therefore be shared between tensors (``add`` hands both inputs
+one array) or read-only (a ``broadcast_to`` view): it is read, never written
+into.
 """
 
 from __future__ import annotations
@@ -123,13 +129,15 @@ def record(op: str, inputs: Sequence[Tensor], output: Tensor,
 
 
 def accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad``; used by every backward closure."""
+    """Add ``g`` to ``t.grad``; used by every backward closure.
+
+    The first contribution is adopted as it is, with no copy; each later one
+    makes a new sum ``t.grad + g``. So a ``.grad`` may be shared with another
+    tensor or be a read-only view, and it is read, never written into.
+    """
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64, copy=True)
-    else:
-        t.grad += g
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def backward(tape: Tape, loss: Tensor) -> None:

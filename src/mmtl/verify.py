@@ -134,6 +134,8 @@ def gradcheck_run(selector: str, tolerance: float = 1e-4, seed: int = 0,
                   max_elements: Optional[int] = 6,
                   corrupt: Optional[str] = None) -> List[CheckReport]:
     """Finite-difference checks for one module (or 'all'); one report each."""
+    if seed < 0:
+        raise ArgumentError(f"seed: must be non-negative, got {seed}")
     selectors = MODULE_SELECTORS if selector == "all" else (selector,)
     for s in selectors:
         if s not in MODULE_SELECTORS:

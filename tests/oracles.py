@@ -4,6 +4,7 @@ Everything here is deliberately naive plain numpy (nested loops where
 feasible), sharing no code with the package so agreement is meaningful.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -86,6 +87,22 @@ def conv3d_loops(x, w, b=None, stride=1, pad=0):
                                               jj * stride + kj] * w[o, c, kz, ki, kj]
                     out[o, zi, i, jj] = acc + (b[o] if b is not None else 0.0)
     return out
+
+
+def unwindow_loops(dcols, x_shape, kernel, stride, pad):
+    """Scatter-add im2col column gradients [C, k, N, *out] (kernel offsets in
+    row-major order) onto the zero-padded x [N, C, *sp], one strided += per
+    kernel offset, and drop the padding; stride and pad hold for every axis."""
+    n, c = x_shape[:2]
+    sp = x_shape[2:]
+    out_sp = dcols.shape[3:]
+    both = (slice(None), slice(None))
+    dxp = np.zeros((c, n) + tuple(s + 2 * pad for s in sp))
+    for j, offset in enumerate(itertools.product(*(range(k) for k in kernel))):
+        window = tuple(slice(o, o + stride * (m - 1) + 1, stride)
+                       for o, m in zip(offset, out_sp))
+        dxp[both + window] += dcols[:, j]
+    return dxp[both + tuple(slice(pad, pad + s) for s in sp)].swapaxes(0, 1)
 
 
 def depthwise2d_loops(x, w, b=None, stride=1, pad=0):

@@ -94,6 +94,18 @@ class TestBackwardBasics:
         backward(tape, loss)
         npt.assert_array_equal(x.grad, [2.0])
 
+    def test_accumulate_never_writes_into_a_handed_array(self):
+        # add hands a and b one gradient array; the earlier use of a runs its
+        # backward later and adds v, which must not reach b.grad
+        a, b = param(rng.normal(size=3)), param(rng.normal(size=3))
+        w, v = rng.normal(size=3), rng.normal(size=3)
+        with Tape() as tape:
+            first_use = mul(a, Tensor(v))
+            loss = tsum(add(mul(add(a, b), Tensor(w)), first_use))
+        backward(tape, loss)
+        npt.assert_array_equal(b.grad, w)
+        npt.assert_array_equal(a.grad, w + v)
+
     def test_topological_order_each_node_once(self):
         x = param(np.ones(3))
         with Tape() as tape:

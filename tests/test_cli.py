@@ -59,6 +59,11 @@ class TestParams:
         err = capsys.readouterr().err
         assert err.startswith("error: seed:") and "Traceback" not in err
 
+    def test_negative_gradcheck_seed_is_usage_error(self, capsys):
+        assert main(["gradcheck", "--module", "tensor-core", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed:") and "Traceback" not in err
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -6,13 +6,13 @@ from collections import namedtuple
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmtl.errors import DimensionError
 from mmtl.gradcheck import assert_gradients_close
 from mmtl.ssm import ScanDirection, compute_gate, scan
-from mmtl.tensor import Tape, Tensor, backward, mul, param, tsum
+from mmtl.tensor import Tape, Tensor, add, backward, mul, param, tsum
 
 import oracles
 
@@ -59,17 +59,20 @@ class TestComputeGate:
                             rtol=1e-12)
 
     @given(st.integers(0, 10_000))
+    @example(812)       # preactivation 37.6: float64 expit returns exactly 1.0
+    @example(1668)      # preactivation 37.4
     @settings(max_examples=40, deadline=None)
     def test_gate_strictly_in_unit_interval(self, seed):
-        # strict in exact arithmetic; float64 saturates only past |pre| ~ 37,
-        # far outside the parameter scale the network ever reaches
+        # strict in exact arithmetic; float64 expit saturates to 0 or 1 only
+        # past |pre| ~ 36.7, so strictness is asserted inside |pre| < 36
         rng = np.random.default_rng(seed)
-        p = make_params(rng.normal(scale=2, size=(3, 2)),
-                        rng.normal(scale=2, size=(3, 2)),
-                        rng.normal(scale=2, size=(3, 2)),
-                        rng.normal(scale=2, size=3))
-        g = compute_gate(*p).data
-        assert np.all(g > 0.0) and np.all(g < 1.0)
+        a, b, c = (rng.normal(scale=2, size=(3, 2)) for _ in range(3))
+        d = rng.normal(scale=2, size=3)
+        g = compute_gate(*make_params(a, b, c, d)).data
+        pre = a.sum(axis=1) / math.sqrt(2) + b @ c.sum(axis=0) / math.sqrt(3) + d
+        assert np.all((g >= 0.0) & (g <= 1.0))
+        inside = np.abs(pre) < 36.0
+        assert np.all((g[inside] > 0.0) & (g[inside] < 1.0))
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
@@ -81,6 +84,31 @@ class TestComputeGate:
 
 
 class TestScan:
+    def test_rows_add_to_a_read_only_gradient(self):
+        # the gate is recorded after the scan, so its backward runs first and
+        # hands A a read-only broadcast view; the scan's row gradients, for 3
+        # of the 5 rows, must then add to it
+        rng = np.random.default_rng(4)
+        p = draw_params(5, 2, rng)
+        x = Tensor(rng.normal(size=(2, 4, 3, 5)))
+
+        def grads(*losses):
+            for t in p:
+                t.zero_grad()
+            with Tape() as tape:
+                terms = [f() for f in losses]
+                loss = terms[0] if len(terms) == 1 else add(*terms)
+            backward(tape, loss)
+            return [t.grad for t in p]
+
+        scan_loss = lambda: tsum(scan(x, *p))
+        gate_loss = lambda: tsum(compute_gate(*p))
+        gate_only = grads(gate_loss)
+        assert not gate_only[0].flags.writeable
+        scan_only = grads(scan_loss)
+        for got, g, s in zip(grads(scan_loss, gate_loss), gate_only, scan_only):
+            npt.assert_array_equal(got, g + s)
+
     def test_single_step(self):
         # T=1: y1 = <c, b>*x1 + d*x1
         rng = np.random.default_rng(2)

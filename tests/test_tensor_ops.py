@@ -3,6 +3,7 @@ nested-loop oracles. Every op takes a leading batch axis; the oracles take one
 sample, so batched outputs are compared sample by sample.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -174,6 +175,56 @@ class TestConvolve:
     def test_kernel_too_large(self):
         with pytest.raises(DimensionError):
             ops.convolve(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
+
+
+def _unwindow_cases():
+    """(x shape, kernel, stride, pad): every stride in {1, 2}, pad in {0, 1}
+    and N in {1, 3} for 1-, 2- and 3-d maps, then the fusion gate's and the
+    joints' second convolution."""
+    spatial = {1: ((7,), (3,)), 2: ((5, 6), (3, 2)), 3: ((5, 4, 3), (3, 2, 3))}
+    cases = [((n, 2) + sp, kernel, stride, pad)
+             for sp, kernel in spatial.values()
+             for stride, pad, n in itertools.product((1, 2), (0, 1), (1, 3))]
+    return cases + [((3, 6, 4, 4), (3, 3), 1, 1), ((3, 4, 4, 8, 3), (3, 3, 3), 1, 1)]
+
+
+class TestUnwindow:
+    """``_unwindow`` scatters im2col column gradients back onto the input, the
+    adjoint of ``_windows``."""
+
+    @staticmethod
+    def _columns(x_shape, kernel, stride, pad, rng):
+        nd = len(kernel)
+        args = (kernel, (stride,) * nd, (pad,) * nd)
+        x = rng.normal(size=x_shape)
+        dcols = rng.normal(size=ops._windows(x, *args, "test").shape)
+        return x, dcols, args
+
+    @pytest.mark.parametrize("x_shape,kernel,stride,pad", _unwindow_cases())
+    def test_equals_per_offset_scatter(self, x_shape, kernel, stride, pad):
+        rng = np.random.default_rng(sum(x_shape) + stride + pad)
+        _, dcols, args = self._columns(x_shape, kernel, stride, pad, rng)
+        got = ops._unwindow(dcols, x_shape, *args)
+        assert got.shape == x_shape
+        assert np.array_equal(got, oracles.unwindow_loops(dcols, x_shape, kernel,
+                                                          stride, pad))
+
+    @pytest.mark.parametrize("x_shape,kernel,stride,pad", _unwindow_cases())
+    def test_adjoint_of_windows(self, x_shape, kernel, stride, pad):
+        # <windows(x), c> == <x, unwindow(c)>, to rounding on the sum of |terms|
+        rng = np.random.default_rng(7 * sum(x_shape) + stride + pad)
+        x, dcols, args = self._columns(x_shape, kernel, stride, pad, rng)
+        cols = ops._windows(x, *args, "test")
+        lhs = np.vdot(cols, dcols)
+        rhs = np.vdot(x, ops._unwindow(dcols, x_shape, *args))
+        assert abs(lhs - rhs) <= 1e-12 * np.vdot(np.abs(cols), np.abs(dcols))
+
+    def test_index_is_cached_and_read_only(self):
+        args = ((3, 2, 4, 4), (3, 3), (1, 1), (1, 1))
+        index = ops._read_index(*args)
+        assert index is ops._read_index(*args)
+        assert index.dtype == np.intp and not index.flags.writeable
+        assert index.shape == (2, 9, 3, 4, 4)
 
 
 class TestPooling:
