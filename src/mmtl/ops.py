@@ -15,7 +15,8 @@ contiguous copy per kernel offset, so a convolution is one matmul over all
 N x output positions. ``_unwindow`` is its adjoint for the backward pass: one
 ``np.bincount`` of the column gradients over ``_read_index``, a cached
 read-only index of the input position each column entry reads (padding reads
-go to one extra bin, which is dropped).
+go to one extra bin, which is dropped); a 1x1, stride-1, unpadded kernel
+needs no scatter, only a swap of the column gradient's first two axes.
 Pooling (avg_pool, adaptive_avg_pool, expand_bins) is a fixed linear map along
 each spatial axis: one averaging matrix per axis, applied axis by axis over
 all N*C rows at once, with the transposes in the backward.
@@ -135,6 +136,10 @@ def _unwindow(dcols: np.ndarray, x_shape, kernel, stride, pad) -> np.ndarray:
     in one bincount over ``_read_index``, dropping the padding's bin. The
     bincount adds each position's entries in kernel-offset order, as one
     ``+=`` per offset would."""
+    if not any(pad) and all(k == 1 == st for k, st in zip(kernel, stride)):
+        # each column entry reads its own position: the columns are x's gradient
+        return np.ascontiguousarray(
+            dcols.reshape(x_shape[1::-1] + x_shape[2:]).swapaxes(0, 1))
     size = math.prod(x_shape)
     dx = np.bincount(_read_index(x_shape, kernel, stride, pad).reshape(-1),
                      weights=dcols.reshape(-1), minlength=size + 1)

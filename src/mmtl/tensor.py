@@ -16,12 +16,21 @@ the first one without copying and replaces the sum for each later one. A
 ``.grad`` may therefore be shared between tensors (``add`` hands both inputs
 one array) or read-only (a ``broadcast_to`` view): it is read, never written
 into.
+
+``fork(fn, *args)`` runs ``fn`` on the process's one worker thread while the
+caller goes on, and returns ``join``. When the caller has a tape open, the
+worker records on a tape of its own, and ``join`` appends the worker's nodes
+to the caller's tape after the nodes the caller recorded meanwhile: the tape
+then reads as if the caller had run ``fn`` itself at the join. Without an open
+tape the worker records nothing.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -158,6 +167,41 @@ def backward(tape: Tape, loss: Tensor) -> None:
             continue
         node.backward(g)
     tape.nodes.clear()
+
+
+_WORKER: Optional[ThreadPoolExecutor] = None
+_WORKER_PID: Optional[int] = None
+
+
+def _on_own_tape(fn: Callable, args: tuple):
+    with Tape() as tape:
+        return fn(*args), tape.nodes
+
+
+def fork(fn: Callable, *args) -> Callable[[], object]:
+    """Start ``fn(*args)`` on the worker thread and return ``join``: called
+    once, it waits for ``fn``, appends its tape nodes to the tape that was open
+    here at the fork (if any), and returns ``fn``'s result or re-raises its
+    exception. ``fn`` must not fork itself: the one worker would wait on itself.
+
+    The worker is made on first use and remade in a forked child process,
+    which inherits no running thread; it exits with the interpreter.
+    """
+    global _WORKER, _WORKER_PID
+    if _WORKER_PID != os.getpid():
+        _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="mmtl-fork")
+        _WORKER_PID = os.getpid()
+    caller = _TAPES.active
+    if caller is None:
+        return _WORKER.submit(fn, *args).result
+    future = _WORKER.submit(_on_own_tape, fn, args)
+
+    def join():
+        result, nodes = future.result()
+        caller.nodes.extend(nodes)
+        return result
+
+    return join
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +358,10 @@ def take_channels(a: Tensor, index: np.ndarray) -> Tensor:
 
     def back(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, (slice(None), index), g)
+        if np.unique(index).size < index.size:
+            np.add.at(full, (slice(None), index), g)
+        else:       # each channel is read at most once: its gradient is one slot of g
+            full[:, index] = g
         accumulate(a, full)
 
     return record("take_channels", (a,), out, back)

@@ -8,10 +8,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mmtl import ops
-from mmtl.errors import ArgumentError, TapeError
+from mmtl import ops, tensor
+from mmtl.errors import ArgumentError, DimensionError, TapeError
 from mmtl.gradcheck import assert_gradients_close, check_gradients
-from mmtl.tensor import Tape, Tensor, add, backward, concat, matmul, mul, \
+from mmtl.tensor import Tape, Tensor, add, backward, concat, fork, matmul, mul, \
     narrow, param, scale, scale_by, scale_channels, \
     take_channels, tile_spatial, transpose, tsum
 
@@ -81,6 +81,36 @@ class TestBackwardBasics:
         assert other["outside"].requires_grad is False
         assert other["inner_ops"] == ["mul"]
         assert other["inside"].requires_grad is True
+
+    def test_fork_appends_worker_nodes_at_join(self):
+        x = param(np.array([1.0, 2.0]))
+        with Tape() as tape:
+            join = fork(mul, x, x)
+            y = add(x, x)
+            z = join()
+            loss = tsum(add(y, z))
+        assert [n.op for n in tape.nodes] == ["add", "mul", "add", "sum"]
+        backward(tape, loss)
+        npt.assert_array_equal(x.grad, [4.0, 6.0])
+
+    def test_fork_without_tape_records_nothing(self):
+        x = param(np.ones(2))
+        assert fork(mul, x, x)().requires_grad is False
+
+    def test_fork_join_reraises_worker_error(self):
+        with Tape() as tape:
+            join = fork(add, param(np.ones(2)), param(np.ones(3)))
+            with pytest.raises(DimensionError, match="add"):
+                join()
+        assert len(tape) == 0
+
+    def test_fork_remakes_worker_in_new_process(self, monkeypatch):
+        fork(tsum, Tensor(np.ones(2)))()
+        inherited = tensor._WORKER
+        monkeypatch.setattr(tensor, "_WORKER_PID", -1)   # as a forked child sees it
+        assert fork(tsum, Tensor(np.ones(2)))().item() == 2.0
+        assert tensor._WORKER is not inherited
+        inherited.shutdown()
 
     def test_no_recording_without_tape(self):
         x = param(np.ones(2))
@@ -231,6 +261,18 @@ class TestPrimitiveGradients:
             {"x": x})
         v = param(rng.normal(size=(2, 3)))
         _fd(lambda: tsum(mul(tile_spatial(v, (2, 2)), p_tile)), {"v": v})
+
+    @pytest.mark.parametrize("index", [[3, 0, 4, 1, 2], [2, 0, 1, 0, 2]],
+                             ids=["permutation", "repeats"])
+    def test_take_channels_backward_equals_add_at(self, index):
+        x = param(rng.normal(size=(2, 5, 3)))
+        g = rng.normal(size=(2, len(index), 3))
+        with Tape() as tape:
+            loss = tsum(mul(take_channels(x, np.array(index)), Tensor(g)))
+        backward(tape, loss)
+        want = np.zeros(x.shape)
+        np.add.at(want, (slice(None), index), g)
+        assert np.array_equal(x.grad, want)
 
     def test_corrupted_gradient_detected(self):
         x = param(rng.normal(size=(3,)))

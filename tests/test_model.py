@@ -4,12 +4,15 @@ variants, weight round-trip, and benchmark/training plumbing.
 
 import multiprocessing
 import os
+import threading
 import time
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import mmtl.model
+from mmtl import tensor
 from mmtl.ablate import variant_config
 from mmtl.bench import bench_fps
 from mmtl.config import ModelConfig
@@ -190,6 +193,100 @@ class TestBatchedForward:
     def test_empty_batch_rejected(self):
         with pytest.raises(InputError):
             Model(TOY).forward([])
+
+
+class TestInteriorFork:
+    """The interior branch on the worker thread against the sequential path;
+    the size threshold is patched so the toy batches fork."""
+
+    @pytest.fixture
+    def forking(self, monkeypatch):
+        monkeypatch.setattr(mmtl.model, "_FORK_MIN_VALUES", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        forks = []
+
+        def counted(*args):
+            forks.append(args)
+            return tensor.fork(*args)
+
+        monkeypatch.setattr(mmtl.model, "fork", counted)
+        return forks
+
+    @staticmethod
+    def train_step(model, samples):
+        """Each node's op and parameter inputs by name, the loss and the gradients."""
+        names = {id(p): name for name, p in model.parameters().items()}
+        with Tape() as tape:
+            loss, _ = batch_loss(model, samples, train=True)
+        ops = [(node.op, [names.get(id(t)) for t in node.inputs]) for node in tape.nodes]
+        backward(tape, loss)
+        return ops, loss.data, {name: p.grad for name, p in model.parameters().items()}
+
+    def test_train_step_matches_sequential(self, forking, monkeypatch):
+        samples = toy_samples(8, seed=6)
+        threaded = self.train_step(with_random_heads(Model(TOY)), samples)
+        assert len(forking) == 1
+        monkeypatch.setattr(mmtl.model, "_FORK_MIN_VALUES", 1 << 62)
+        sequential = self.train_step(with_random_heads(Model(TOY)), samples)
+        assert len(forking) == 1
+        assert threaded[0] == sequential[0]
+        assert np.array_equal(threaded[1], sequential[1])
+        for name, grad in sequential[2].items():
+            assert np.array_equal(threaded[2][name], grad), name
+
+    def test_missing_interior_view_named(self, forking):
+        samples = toy_samples(2)
+        samples[1].interior = [v for v in samples[1].interior if v.view_id != "face"]
+        with pytest.raises(InputError, match="face"):
+            Model(TOY).forward(samples)
+        assert len(forking) == 1
+
+    def test_exterior_failure_leaves_next_forward_intact(self, forking):
+        model, samples = Model(TOY), toy_samples(2)
+        before = model.forward(samples).logits
+        broken = toy_samples(2)
+        broken[0].exterior = broken[0].exterior[:1]
+        with pytest.raises(InputError, match="missing view"):
+            model.forward(broken)
+        after = model.forward(samples).logits
+        assert len(forking) == 3
+        for task, lg in before.items():
+            assert np.array_equal(after[task].data, lg.data)
+
+    def test_one_cpu_stays_sequential(self, forking, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        Model(TOY).forward(toy_samples(2))
+        assert forking == []
+
+    def test_eval_forward_records_nothing(self, forking, monkeypatch):
+        branches = []
+        branch = Model._branch
+
+        def kept(self, *args):
+            branches.append(branch(self, *args))
+            return branches[-1]
+
+        monkeypatch.setattr(Model, "_branch", kept)
+        out = Model(TOY).forward(toy_samples(2))
+        assert len(forking) == 1 and len(branches) == 2
+        assert not any(h.requires_grad for h in branches)
+        assert not any(lg.requires_grad for lg in out.logits.values())
+
+    @needs_fork
+    def test_bench_workers_after_threaded_forward(self, forking):
+        # each bench worker process forks its forwards too, and must make its
+        # own worker thread: the parent's does not run in the child
+        Model(TOY).forward(toy_samples(4))
+        assert len(forking) == 1
+        records = []
+        bench = threading.Thread(daemon=True, target=lambda: records.append(
+            bench_fps(TOY, batch_size=4, duration=0.3, threads=2)))
+        bench.start()
+        bench.join(timeout=60.0)
+        assert not bench.is_alive(), "bench workers hung"
+        assert records[0].fps > 0
 
 
 class TestParamCount:

@@ -180,12 +180,15 @@ class TestConvolve:
 def _unwindow_cases():
     """(x shape, kernel, stride, pad): every stride in {1, 2}, pad in {0, 1}
     and N in {1, 3} for 1-, 2- and 3-d maps, then the fusion gate's and the
-    joints' second convolution."""
+    joints' second convolution, then a 1x1, stride-1, unpadded kernel (no
+    scatter) for each map and N."""
     spatial = {1: ((7,), (3,)), 2: ((5, 6), (3, 2)), 3: ((5, 4, 3), (3, 2, 3))}
     cases = [((n, 2) + sp, kernel, stride, pad)
              for sp, kernel in spatial.values()
              for stride, pad, n in itertools.product((1, 2), (0, 1), (1, 3))]
-    return cases + [((3, 6, 4, 4), (3, 3), 1, 1), ((3, 4, 4, 8, 3), (3, 3, 3), 1, 1)]
+    pointwise = [((n, 3) + sp, (1,) * len(sp), 1, 0)
+                 for sp, _ in spatial.values() for n in (1, 3)]
+    return cases + [((3, 6, 4, 4), (3, 3), 1, 1), ((3, 4, 4, 8, 3), (3, 3, 3), 1, 1)] + pointwise
 
 
 class TestUnwindow:
