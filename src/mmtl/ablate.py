@@ -5,10 +5,10 @@ briefly on the same synthetic benchmark, and compare final mean accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .config import MODALITIES, ModelConfig
-from .data import SyntheticRecipe, negative_transfer_recipe
+from .data import SyntheticRecipe
 from .errors import ConfigError
 from .model import count_params
 from .train import run_toy_training
@@ -48,21 +48,18 @@ def variant_config(base: ModelConfig, name: str) -> ModelConfig:
     raise ConfigError(f"unknown ablation variant '{name}'")
 
 
-def run_ablation(base: ModelConfig, variants: Sequence[str],
-                 recipe: Optional[SyntheticRecipe] = None, steps: int = 400,
-                 batch_size: int = 8, train_count: int = 192,
-                 val_count: int = 128) -> List[VariantResult]:
-    """Train each variant on the same benchmark. The default recipe plants
-    wrong-label decoys across modalities: gate-based fusion needs enough steps
-    to shut them off, so short runs understate it."""
-    recipe = recipe or negative_transfer_recipe(noise=0.25, amplitude=0.2)
+def run_ablation(base: ModelConfig, variants: Sequence[str], recipe: SyntheticRecipe,
+                 steps: int = 400) -> List[VariantResult]:
+    """Train each variant on the same recipe, 8 samples a step from 192, and
+    score it on 128 more. Under ``negative_transfer_recipe``'s wrong-label
+    decoys, gate-based fusion needs enough steps to shut them off, so short
+    runs understate it."""
     results = []
     for name in variants:
         cfg = variant_config(base, name)
         total, _ = count_params(cfg)
-        out = run_toy_training(cfg, recipe, steps=steps, batch_size=batch_size,
-                               train_count=train_count, val_count=val_count,
-                               eval_every=steps)
+        out = run_toy_training(cfg, recipe, steps=steps, batch_size=8, train_count=192,
+                               val_count=128, eval_every=steps)
         final = out.final_metrics
         results.append(VariantResult(name=name, param_count=total,
                                      macc=final.macc, accuracy=dict(final.accuracy)))

@@ -12,6 +12,7 @@ bounded by the number of cores. `threads=1` runs the same loop in-process.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import time
 import traceback
@@ -53,8 +54,8 @@ def bench_fps(config: ModelConfig, batch_size: int = 1, duration: float = 2.0,
     """Measure end-to-end sample throughput of the inference path, summed
     over `threads` forked worker processes. Each timed batch is one
     `Model.forward` over `batch_size` samples."""
-    if duration <= 0:
-        raise ArgumentError("bench: duration must be positive")
+    if not (math.isfinite(duration) and duration > 0):
+        raise ArgumentError(f"duration: must be finite and positive, got {duration}")
     if batch_size <= 0 or threads <= 0:
         raise ArgumentError("bench: batch size and threads must be positive")
     if threads > 1 and "fork" not in multiprocessing.get_all_start_methods():

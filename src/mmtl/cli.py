@@ -98,7 +98,7 @@ def cmd_ablate(args) -> int:
         variants = ["full", "exterior_only", "interior_only", "joints_only"]
     else:
         variants = ["full"] + list(ABLATION_FLAGS)
-    recipe = negative_transfer_recipe(noise=args.noise, amplitude=0.2)
+    recipe = negative_transfer_recipe(noise=args.noise)
     results = run_ablation(cfg, variants, recipe=recipe, steps=args.steps)
     table = format_table(results)
     print(table)

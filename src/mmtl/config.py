@@ -10,7 +10,8 @@ import math
 from dataclasses import dataclass, fields
 from typing import Tuple
 
-from .errors import ConfigError
+from .errors import ConfigError, InputError
+from .serial import read_file
 
 TASKS = ("der", "dbr", "tcr", "vbr")
 MODALITIES = ("exterior", "interior", "joints")
@@ -72,6 +73,18 @@ class ModelConfig:
                 raise ConfigError(f"drop_modalities: unknown modality '{m}'")
         if set(self.drop_modalities) >= set(MODALITIES):
             raise ConfigError("drop_modalities: cannot drop every modality")
+        if {"exterior", "interior"} & set(self.active_modalities):
+            # the stem's unpadded 3x3 conv leaves view - 2 positions to pool from
+            for name, view in (("height", "view_height"), ("width", "view_width")):
+                if getattr(self, name) > getattr(self, view) - 2:
+                    raise ConfigError(f"{name}: {getattr(self, name)} exceeds {view} - 2 = "
+                                      f"{getattr(self, view) - 2}, the stem's output size")
+        if "joints" in self.active_modalities:
+            # the joints branch halves both axes, then pools each to 2 bins
+            for name in ("frame_count", "joint_count"):
+                if getattr(self, name) < 4:
+                    raise ConfigError(f"{name}: the joints branch needs at least 4, "
+                                      f"got {getattr(self, name)}")
         if self.seed < 0:
             raise ConfigError(f"seed: must be non-negative, got {self.seed}")
         for name in ("base_lr", "weight_decay"):
@@ -162,5 +175,10 @@ def parse_config(text: str) -> ModelConfig:
 
 
 def load_config(path) -> ModelConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    """``parse_config`` of a UTF-8 file; an unreadable file is a ConfigError."""
+    try:
+        return parse_config(read_file(path).decode("utf-8"))
+    except InputError as exc:
+        raise ConfigError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None

@@ -4,6 +4,8 @@ sample layout.
 A synthetic sample hides one low-frequency pattern per (task, class) inside
 that task's designated modality, so a nearest-template classifier - and a
 trained network - can recover every label from the right modality alone.
+Every recipe also plants ``ECHO``: a weaker copy of the der pattern, keyed to
+the true label, in the interior views, at 0.3 of the recipe's amplitude.
 
 On-disk layout per sample::
 
@@ -20,9 +22,10 @@ resized (nearest neighbor) back to the view size.
 [T, 3, H, W] array: every frame of a view has the first frame's [3, H, W]
 shape. Pixels are clipped to [0, 1]. Views whose stored H x W differs from the
 config's view size are nearest-resized to it; the boxes index the stored inside
-frames, so face and body are cut before resizing. A sample is skipped with a
-warning when a file is missing or malformed: a view with no frames, a frame
-path that is a directory, a bad tensor or joints header, a truncated payload, a
+frames, so face and body are cut before resizing. Every file is read through
+``serial.read_file``. A sample is skipped with a warning when a file is
+missing or malformed: a view with no frames, a frame or joints path that is a
+directory, a bad tensor or joints header, a truncated payload, a
 frame that is not [3, H, W] or not the shape of its view's first frame, or a
 boxes or labels file that is not the expected ASCII integers (boxes inside the
 frame and non-empty, labels within their task's classes), a view or joints
@@ -36,10 +39,11 @@ from __future__ import annotations
 import fnmatch
 import hashlib
 import logging
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -47,12 +51,19 @@ from .blocks import EXTERIOR_VIEWS, ViewSequence
 from .config import MODALITIES, TASKS, ModelConfig
 from .errors import ArgumentError, InputError
 from .joints import JointSequence
-from .serial import dump_joints, dump_tensor, load_joints, parse_tensor
+from .serial import dump_joints, dump_tensor, load_joints, parse_tensor, read_file
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
 
 STORED_VIEWS = ("front", "left", "right", "inside")
+
+# a weaker true-label copy of a task's pattern that every recipe plants in a
+# second modality: (modality, fraction of the recipe's amplitude)
+ECHO = {"der": ("interior", 0.3)}
+PATTERN_SEED = 7090
+COARSE_T = 4        # frame blocks of a planted pattern
+COARSE_GRID = 4     # cells per side of a planted view pattern
 
 
 @dataclass
@@ -76,7 +87,6 @@ class SampleBundle:
 class SyntheticRecipe:
     """Which modality carries each task's signal, and how strongly.
 
-    ``echo`` plants weaker true-label copies in a second modality.
     ``distractors`` plants a task's patterns keyed to a random label in a
     wrong modality: a negative-transfer trap that per-task gating can shut
     off but a task-agnostic fusion cannot.
@@ -85,16 +95,12 @@ class SyntheticRecipe:
     designated: Dict[str, str] = field(default_factory=lambda: {
         "der": "joints", "dbr": "interior", "tcr": "exterior", "vbr": "exterior"})
     amplitude: float = 0.15
-    # weaker copies of a task's pattern planted in a second modality
-    echo: Dict[str, Tuple[str, float]] = field(default_factory=lambda: {
-        "der": ("interior", 0.3)})        # fraction of the main amplitude
     distractors: Dict[str, Tuple[str, float]] = field(default_factory=dict)
     noise: float = 0.0
-    pattern_seed: int = 7090
-    coarse_t: int = 4
-    coarse_grid: int = 4
 
     def __post_init__(self):
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ArgumentError(f"noise: must be finite and non-negative, got {self.noise}")
         for task, mod in self.designated.items():
             if task not in TASKS or mod not in MODALITIES:
                 raise ArgumentError(f"recipe: bad designation {task} -> {mod}")
@@ -108,11 +114,10 @@ class SyntheticRecipe:
                     f"recipe: distractor for {task} clashes with its signal modality")
 
 
-def negative_transfer_recipe(noise: float = 0.25,
-                             amplitude: float = 0.2) -> SyntheticRecipe:
+def negative_transfer_recipe(noise: float = 0.25) -> SyntheticRecipe:
     """Benchmark recipe where every modality also carries a wrong-label trap."""
     return SyntheticRecipe(
-        amplitude=amplitude,
+        amplitude=0.2,
         noise=noise,
         distractors={"der": ("exterior", 1.0), "tcr": ("interior", 1.0),
                      "vbr": ("joints", 1.0)},
@@ -125,14 +130,13 @@ def _upsample_axis(a: np.ndarray, axis: int, out: int) -> np.ndarray:
     return np.repeat(a, counts, axis=axis)
 
 
-def view_pattern(recipe: SyntheticRecipe, task: str, cls: int,
-                 t: int, hv: int, wv: int) -> np.ndarray:
+def view_pattern(task: str, cls: int, t: int, hv: int, wv: int) -> np.ndarray:
     """The planted [T, 3, H_v, W_v] pattern for (task, class): a coarse random
     field plus a per-(frame-block, color) offset, upsampled. The coarse grid
     survives spatial pooling; the offset survives even global averaging."""
-    rng = np.random.default_rng([recipe.pattern_seed, TASKS.index(task), cls, 0])
-    tc = min(recipe.coarse_t, t)
-    g = (min(recipe.coarse_grid, hv), min(recipe.coarse_grid, wv))
+    rng = np.random.default_rng([PATTERN_SEED, TASKS.index(task), cls, 0])
+    tc = min(COARSE_T, t)
+    g = (min(COARSE_GRID, hv), min(COARSE_GRID, wv))
     coarse = 0.5 * rng.normal(size=(tc, 3) + g) + rng.normal(size=(tc, 3, 1, 1))
     p = _upsample_axis(coarse, 0, t)
     p = _upsample_axis(p, 2, hv)
@@ -140,10 +144,9 @@ def view_pattern(recipe: SyntheticRecipe, task: str, cls: int,
     return np.clip(p, -2.5, 2.5)
 
 
-def joint_pattern(recipe: SyntheticRecipe, task: str, cls: int,
-                  t: int, j: int) -> np.ndarray:
-    rng = np.random.default_rng([recipe.pattern_seed, TASKS.index(task), cls, 1])
-    tc = min(recipe.coarse_t, t)
+def joint_pattern(task: str, cls: int, t: int, j: int) -> np.ndarray:
+    rng = np.random.default_rng([PATTERN_SEED, TASKS.index(task), cls, 1])
+    tc = min(COARSE_T, t)
     coarse = 0.5 * rng.normal(size=(tc, j, 3)) + rng.normal(size=(tc, 1, 3))
     return np.clip(_upsample_axis(coarse, 0, t), -2.5, 2.5)
 
@@ -198,15 +201,14 @@ def _balanced_labels(rng: np.random.Generator, count: int, k: int) -> np.ndarray
 
 
 def generate_synthetic(recipe: SyntheticRecipe, count: int, seed: int,
-                       config: Optional[ModelConfig] = None) -> Iterator[SampleBundle]:
-    """Deterministic stream of planted-signal samples."""
+                       config: ModelConfig) -> Iterator[SampleBundle]:
+    """Deterministic stream of planted-signal samples of the config's shapes."""
     if count <= 0:
         raise ArgumentError("generate_synthetic: count must be positive")
-    cfg = config or ModelConfig()
-    t, hv, wv, j = cfg.frame_count, cfg.view_height, cfg.view_width, cfg.joint_count
+    t, hv, wv, j = config.frame_count, config.view_height, config.view_width, config.joint_count
     rng = np.random.default_rng([seed, 0xA11CE])
-    labels = {task: _balanced_labels(rng, count, cfg.num_classes(task)) for task in TASKS}
-    decoy_labels = {task: rng.integers(0, cfg.num_classes(task), size=count)
+    labels = {task: _balanced_labels(rng, count, config.num_classes(task)) for task in TASKS}
+    decoy_labels = {task: rng.integers(0, config.num_classes(task), size=count)
                     for task in recipe.distractors}
 
     def planted(mod: str, i: int) -> np.ndarray:
@@ -214,9 +216,9 @@ def generate_synthetic(recipe: SyntheticRecipe, count: int, seed: int,
         for task, amp, tied in _modality_contributions(recipe, mod):
             cls = int((labels if tied else decoy_labels)[task][i])
             if mod == "joints":
-                acc += amp * joint_pattern(recipe, task, cls, t, j)
+                acc += amp * joint_pattern(task, cls, t, j)
             else:
-                acc += amp * view_pattern(recipe, task, cls, t, hv, wv)
+                acc += amp * view_pattern(task, cls, t, hv, wv)
         # shrink overlapping patterns into [0.5 +- 0.45] to avoid saturation
         peak = np.abs(acc).max()
         return acc * (0.45 / peak) if peak > 0.45 else acc
@@ -246,7 +248,7 @@ def _modality_contributions(recipe: SyntheticRecipe, mod: str):
     is keyed by its own free label (a distractor)."""
     out = [(task, recipe.amplitude, True)
            for task in TASKS if recipe.designated[task] == mod]
-    for task, (emod, frac) in recipe.echo.items():
+    for task, (emod, frac) in ECHO.items():
         if emod == mod:
             out.append((task, recipe.amplitude * frac, True))
     for task, (dmod, frac) in recipe.distractors.items():
@@ -259,9 +261,8 @@ def _modality_contributions(recipe: SyntheticRecipe, mod: str):
 # on-disk layout
 # ---------------------------------------------------------------------------
 
-def write_sample_dir(bundle: SampleBundle, root, sample_id: Optional[str] = None) -> Path:
-    sid = sample_id or bundle.sample_id or "sample"
-    base = Path(root) / sid
+def write_sample_dir(bundle: SampleBundle, root) -> Path:
+    base = Path(root) / (bundle.sample_id or "sample")
     for vid in STORED_VIEWS:
         view = bundle.view(vid)
         vdir = base / vid
@@ -279,16 +280,6 @@ def write_sample_dir(bundle: SampleBundle, root, sample_id: Optional[str] = None
     return base
 
 
-def _read(path: str) -> bytes:
-    """One sample file's bytes; a missing file or a directory in its place is
-    an InputError, so the sample is skipped."""
-    try:
-        with open(path, "rb", buffering=0) as fh:    # one read of the whole file
-            return fh.read()
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror}") from None
-
-
 def _read_view(vdir: str) -> np.ndarray:
     """A view's frame files, in name order, as one [T, 3, H, W] float64 array.
 
@@ -304,7 +295,7 @@ def _read_view(vdir: str) -> np.ndarray:
     frames = None
     for t, name in enumerate(names):
         path = os.path.join(vdir, name)
-        frame = parse_tensor(path, _read(path))
+        frame = parse_tensor(path, read_file(path))
         if frames is None:
             if frame.ndim != 3 or frame.shape[0] != 3:
                 raise InputError(f"{path}: frame is {list(frame.shape)}, not [3, H, W]")
@@ -344,15 +335,12 @@ def _load_one_sample(base: str, cfg: ModelConfig) -> SampleBundle:
             raise InputError(f"{sid}: view {vid} holds a non-finite pixel")
         views[vid] = np.clip(frames, 0.0, 1.0, out=frames)
 
-    lines = _read(os.path.join(base, "boxes.txt")).strip().splitlines()
+    lines = read_file(os.path.join(base, "boxes.txt")).strip().splitlines()
     if len(lines) < 2:
         raise InputError(f"{sid}: boxes.txt needs face and body lines")
     boxes = tuple(_read_ints(line, 4, f"{sid}: boxes.txt line") for line in lines[:2])
 
-    joints_path = os.path.join(base, "joints.t3jt")
-    if not os.path.isfile(joints_path):
-        raise InputError(f"{sid}: missing joints.t3jt")
-    joints = load_joints(joints_path)
+    joints = load_joints(os.path.join(base, "joints.t3jt"))
     if joints.shape[:2] != (cfg.frame_count, cfg.joint_count):
         raise InputError(f"{sid}: joints.t3jt holds {joints.shape[0]} frames of "
                          f"{joints.shape[1]} joints, not the config's {cfg.frame_count} "
@@ -360,7 +348,7 @@ def _load_one_sample(base: str, cfg: ModelConfig) -> SampleBundle:
     if not np.isfinite(joints).all():
         raise InputError(f"{sid}: joints.t3jt holds a non-finite value")
 
-    raw = _read_ints(_read(os.path.join(base, "labels.txt")), len(TASKS),
+    raw = _read_ints(read_file(os.path.join(base, "labels.txt")), len(TASKS),
                      f"{sid}: labels.txt")
     labels = dict(zip(TASKS, raw))
     for task, label in labels.items():
@@ -401,8 +389,8 @@ def stable_id_hash(sample_id: str) -> int:
     return int.from_bytes(hashlib.sha1(sample_id.encode()).digest()[:8], "big")
 
 
-def load_sample_dir(root, fractions: Sequence[float] = (0.65, 0.15, 0.20),
-                    config: Optional[ModelConfig] = None) -> SplitStreams:
+def load_sample_dir(root, fractions: Sequence[float] = (0.65, 0.15, 0.20), *,
+                    config: ModelConfig) -> SplitStreams:
     """Load every sample under root and split it train/val/test by id hash.
 
     Samples are ordered by the stable hash of their id (file order never
@@ -410,7 +398,6 @@ def load_sample_dir(root, fractions: Sequence[float] = (0.65, 0.15, 0.20),
     Samples with missing or malformed files are skipped with a warning and
     counted in ``skipped``.
     """
-    cfg = config or ModelConfig()
     sample_ids = []
     if os.path.exists(root):
         sample_ids = sorted(e.name for e in os.scandir(root) if e.is_dir())
@@ -419,7 +406,7 @@ def load_sample_dir(root, fractions: Sequence[float] = (0.65, 0.15, 0.20),
     skipped = 0
     for sid in sample_ids:
         try:
-            loaded.append(_load_one_sample(os.path.join(root, sid), cfg))
+            loaded.append(_load_one_sample(os.path.join(root, sid), config))
         except InputError as exc:
             skipped += 1
             log.warning("skipping sample %s: %s", sid, exc)

@@ -15,16 +15,6 @@ from .ops import adaptive_avg_pool, cross_entropy, linear
 from .tensor import Tensor, add, param, reshape
 
 
-@dataclass(frozen=True)
-class TaskSpec:
-    task_id: str
-    num_classes: int
-
-    def __post_init__(self):
-        if self.num_classes < 2:
-            raise ArgumentError(f"task {self.task_id}: needs >= 2 classes")
-
-
 @dataclass
 class HeadParams:
     weight: Tensor  # [C, K]
@@ -49,17 +39,17 @@ def head_forward(feature: Tensor, p: HeadParams) -> Tensor:
 
 
 def total_loss(logits: Sequence[Tensor], labels: Sequence[Sequence[int]],
-               specs: Optional[Sequence[TaskSpec]] = None) -> Tensor:
+               tasks: Sequence[str]) -> Tensor:
     """Mean over the batch of the unweighted sum of per-task cross-entropies:
-    logits[i] is task i's [N, K] and labels[i] its N labels."""
-    if len(logits) != len(labels):
-        raise ArgumentError(f"{len(logits)} logit matrices vs {len(labels)} label lists")
-    for i, (lg, ys) in enumerate(zip(logits, labels)):
+    logits[i] is task tasks[i]'s [N, K] and labels[i] its N labels."""
+    if not len(logits) == len(labels) == len(tasks):
+        raise ArgumentError(f"{len(logits)} logit matrices, {len(labels)} label lists "
+                            f"and {len(tasks)} tasks")
+    for task, lg, ys in zip(tasks, logits, labels):
         k = lg.shape[1]
         bad = [int(y) for y in ys if not 0 <= int(y) < k]
         if bad:
-            name = specs[i].task_id if specs else f"task {i}"
-            raise InputError(f"{name}: label {bad[0]} out of range for {k} classes")
+            raise InputError(f"{task}: label {bad[0]} out of range for {k} classes")
     out = cross_entropy(logits[0], labels[0])
     for lg, ys in zip(logits[1:], labels[1:]):
         out = add(out, cross_entropy(lg, ys))

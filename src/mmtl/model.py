@@ -34,7 +34,7 @@ from .data import SampleBundle
 from .errors import InputError
 from .fusion import ConcatFuseParams, GateParams, ModalityFeatures, concat_fuse, \
     fuse_all, init_concat_fuse, init_gate_params
-from .heads import HeadParams, TaskSpec, head_forward, init_head
+from .heads import HeadParams, head_forward, init_head
 from .joints import JointBranchParams, init_joint_branch, joints_forward
 from .ops import RunningStats
 from .serial import dump_tensor, load_tensor
@@ -94,10 +94,8 @@ class Model:
                 c, rng, num_gates=num_gates,
                 with_attention=not config.no_self_attention)
 
-        self.task_specs = [TaskSpec(task, config.num_classes(task))
-                           for task in config.active_tasks]
         self.heads: Dict[str, HeadParams] = {
-            spec.task_id: init_head(c, spec.num_classes) for spec in self.task_specs}
+            task: init_head(c, config.num_classes(task)) for task in config.active_tasks}
 
         self._params = self._collect_params()
 
@@ -222,12 +220,12 @@ class Model:
         telemetry = None
         if self.concat_params is not None:
             fused = concat_fuse(m, self.concat_params)
-            feats = [fused] * len(self.task_specs)
+            feats = [fused] * len(self.heads)
         else:
             feats, telemetry = fuse_all(m, self.gate_params, train=train,
-                                        num_tasks=len(self.task_specs))
-        logits = {spec.task_id: head_forward(feats[i], self.heads[spec.task_id])
-                  for i, spec in enumerate(self.task_specs)}
+                                        num_tasks=len(self.heads))
+        logits = {task: head_forward(feat, p)
+                  for (task, p), feat in zip(self.heads.items(), feats)}
         return ForwardResult(logits=logits, telemetry=telemetry)
 
     def forward_sample(self, bundle: SampleBundle, train: bool = False) -> ForwardResult:
@@ -268,10 +266,7 @@ class Model:
         d = Path(directory)
         loaded = {}
         for name, data in self._checkpoint().items():
-            path = d / (name + ".t3tn")
-            if not path.exists():
-                raise InputError(f"missing weight file {path}")
-            loaded[name] = load_tensor(path).data
+            loaded[name] = load_tensor(d / (name + ".t3tn")).data
             if loaded[name].shape != data.shape:
                 raise InputError(f"{name}: stored shape {loaded[name].shape} != {data.shape}")
         for name, p in self._params.items():

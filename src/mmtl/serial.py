@@ -4,6 +4,11 @@ Tensor file: magic b"T3TN", u8 rank, rank x u32 little-endian dims, then the
 row-major payload as little-endian float32 (values narrowed from float64).
 
 Joint file: magic b"T3JT", u32 T, u32 J, then T*J*3 little-endian float32.
+
+``read_file`` is the package's one way to read a file: every sample,
+checkpoint and config file goes through it, so a file that cannot be read
+(missing, a directory in its place, no permission) is an ``InputError``,
+which ``config.load_config`` turns into a ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -31,9 +36,18 @@ def dump_tensor(t: Tensor, path) -> None:
         fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
 
 
+def read_file(path) -> bytes:
+    """A file's bytes, in one read; any failure to open or read it is an
+    InputError that names the path."""
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def load_tensor(path) -> Tensor:
-    with open(path, "rb") as fh:
-        return Tensor(parse_tensor(path, fh.read()).astype(np.float64))
+    return Tensor(parse_tensor(path, read_file(path)).astype(np.float64))
 
 
 def parse_tensor(path, raw: bytes) -> np.ndarray:
@@ -62,8 +76,7 @@ def dump_joints(joints: np.ndarray, path) -> None:
 
 
 def load_joints(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = read_file(path)
     if raw[:4] != JOINTS_MAGIC:
         raise InputError(f"{path}: bad joints magic {raw[:4]!r}")
     if len(raw) < 12:

@@ -352,17 +352,17 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 
 def take_channels(a: Tensor, index: np.ndarray) -> Tensor:
-    """Permute/select along the channel axis (axis 1) by an integer index vector."""
+    """Permute the channel axis (axis 1): output channel i is input channel
+    index[i]. ``index`` must be a permutation of the channels."""
     index = np.asarray(index, dtype=np.intp)
+    channels = a.shape[1]
+    inverse = np.argsort(index)
+    if index.shape != (channels,) or not np.array_equal(index[inverse], np.arange(channels)):
+        raise ArgumentError(f"take_channels: index is not a permutation of {channels} channels")
     out = Tensor(a.data[:, index])
 
     def back(g):
-        full = np.zeros_like(a.data)
-        if np.unique(index).size < index.size:
-            np.add.at(full, (slice(None), index), g)
-        else:       # each channel is read at most once: its gradient is one slot of g
-            full[:, index] = g
-        accumulate(a, full)
+        accumulate(a, g[:, inverse])
 
     return record("take_channels", (a,), out, back)
 

@@ -17,7 +17,7 @@ from .errors import ArgumentError, TrainingDiverged
 from .heads import TaskMetrics, compute_metrics, format_metrics_record, total_loss
 from .model import Model
 from .optim import OptimizerState, sgd_step
-from .tensor import Tape, backward
+from .tensor import Tape, Tensor, backward
 
 
 @dataclass
@@ -36,48 +36,46 @@ def batch_loss(model: Model, batch: List[SampleBundle], train: bool = True):
     """Mean summed-cross-entropy loss over a batch from one batched forward;
     returns (loss, telemetry averaged over the batch)."""
     result = model.forward(batch, train=train)
-    specs = model.task_specs
-    logits = [result.logits[s.task_id] for s in specs]
-    labels = [[bundle.labels[s.task_id] for bundle in batch] for s in specs]
-    loss = total_loss(logits, labels, specs)
+    tasks = model.config.active_tasks
+    logits = [result.logits[t] for t in tasks]
+    labels = [[bundle.labels[t] for bundle in batch] for t in tasks]
+    loss = total_loss(logits, labels, tasks)
     telemetry = None if result.telemetry is None else result.telemetry.mean(axis=0)
     return loss, telemetry
 
 
 def evaluate(model: Model, samples: List[SampleBundle]) -> TaskMetrics:
-    """Accuracy, per-task mean loss, and mean gate telemetry over a sample set."""
-    specs = model.task_specs
-    preds: Dict[str, List[int]] = {s.task_id: [] for s in specs}
-    labels: Dict[str, List[int]] = {s.task_id: [] for s in specs}
-    task_losses = {s.task_id: 0.0 for s in specs}
+    """Accuracy, per-task mean loss, and mean gate telemetry over a sample set,
+    from one pass over ``samples`` with one forward per sample. Each task's
+    loss is ``total_loss`` on its stacked logits; no tape is open, so nothing
+    is recorded."""
+    tasks = model.config.active_tasks
+    logits: Dict[str, List[np.ndarray]] = {t: [] for t in tasks}
+    labels: Dict[str, List[int]] = {t: [] for t in tasks}
     tele = []
     started = time.perf_counter()
     for bundle in samples:
         result = model.forward_sample(bundle, train=False)
-        for s in specs:
-            lg = result.logits[s.task_id].data
-            y = bundle.labels[s.task_id]
-            preds[s.task_id].append(int(np.argmax(lg)))
-            labels[s.task_id].append(int(y))
-            z = lg - lg.max()
-            task_losses[s.task_id] += float(math.log(np.exp(z).sum()) - z[int(y)])
+        for t in tasks:
+            logits[t].append(result.logits[t].data)
+            labels[t].append(bundle.labels[t])
         if result.telemetry is not None:
             tele.append(result.telemetry)
     elapsed = time.perf_counter() - started
-    metrics = compute_metrics(preds, labels)
-    n = len(samples)
+    n = len(labels[tasks[0]])
+    if n == 0:
+        raise ArgumentError("evaluate: empty sample set")
+    stacked = {t: np.stack(logits[t]) for t in tasks}
+    metrics = compute_metrics({t: np.argmax(lg, axis=1) for t, lg in stacked.items()}, labels)
     metrics.fps = n / elapsed if elapsed > 0 else float("nan")
-    metrics.loss = {t: v / n for t, v in task_losses.items()}
+    metrics.loss = {t: total_loss([Tensor(stacked[t])], [labels[t]], [t]).item()
+                    for t in tasks}
     metrics.loss_total = sum(metrics.loss.values())
     if tele:
         # always a 4x3 matrix in task order; dropped tasks stay nan
         full = np.full((len(TASKS), 3), float("nan"))
-        mean_tele = np.mean(tele, axis=0)
-        for i, s in enumerate(specs):
-            full[TASKS.index(s.task_id)] = mean_tele[i]
+        full[[TASKS.index(t) for t in tasks]] = np.mean(tele, axis=0)
         metrics.gate_telemetry = full
-    else:
-        metrics.gate_telemetry = None
     metrics.param_count = model.param_count()
     return metrics
 

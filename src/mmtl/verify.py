@@ -4,6 +4,7 @@ network component, checked against central finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -16,7 +17,7 @@ from .config import ModelConfig
 from .errors import ArgumentError
 from .fusion import ModalityFeatures, init_gate_params, shared_attention, task_fuse
 from .gradcheck import check_gradients
-from .heads import init_head, head_forward, total_loss, TaskSpec
+from .heads import init_head, head_forward, total_loss
 from .joints import JointSequence, init_joint_branch, joints_forward
 from .ssm import ScanDirection, compute_gate, init_transition, scan
 from .tensor import Tensor, add, mul, param, tsum
@@ -136,6 +137,8 @@ def gradcheck_run(selector: str, tolerance: float = 1e-4, seed: int = 0,
     """Finite-difference checks for one module (or 'all'); one report each."""
     if seed < 0:
         raise ArgumentError(f"seed: must be non-negative, got {seed}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ArgumentError(f"tolerance: must be finite and positive, got {tolerance}")
     selectors = MODULE_SELECTORS if selector == "all" else (selector,)
     for s in selectors:
         if s not in MODULE_SELECTORS:
@@ -209,7 +212,7 @@ def gradcheck_run(selector: str, tolerance: float = 1e-4, seed: int = 0,
 
             def head_probe():
                 logits = head_forward(feat, hp)
-                return total_loss([logits], [[1, 2]], [TaskSpec("der", 3)])
+                return total_loss([logits], [[1, 2]], ["der"])
 
             errors = check_gradients(
                 head_probe, {"feat": feat, **hp.tensors()}, **kw)

@@ -29,7 +29,7 @@ import oracles
 TOY = ModelConfig(frame_count=8, channels=96, height=4, width=4, view_height=16,
                   view_width=16, state_dim=8, block_depth=1, seed=7, base_lr=0.08)
 NOISELESS = SyntheticRecipe(noise=0.0, amplitude=0.2)
-ABLATION_RECIPE = negative_transfer_recipe(noise=0.25, amplitude=0.2)
+ABLATION_RECIPE = negative_transfer_recipe(noise=0.25)
 
 DESIGNATED_INDEX = {"der": 2, "dbr": 1, "tcr": 0, "vbr": 0}   # ext, int, joints
 
@@ -54,8 +54,7 @@ def toy_training():
 def ablation_results():
     variants = ["full", "no_mgmi", "exterior_only", "interior_only", "joints_only"]
     return run_ablation(TOY.replace(base_lr=0.04), variants,
-                        recipe=ABLATION_RECIPE, steps=400,
-                        batch_size=8, train_count=192, val_count=128)
+                        recipe=ABLATION_RECIPE, steps=400)
 
 
 def test_criterion_1_metric_arithmetic():

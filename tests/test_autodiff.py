@@ -10,10 +10,12 @@ import pytest
 
 from mmtl import ops, tensor
 from mmtl.errors import ArgumentError, DimensionError, TapeError
-from mmtl.gradcheck import assert_gradients_close, check_gradients
+from mmtl.gradcheck import check_gradients
 from mmtl.tensor import Tape, Tensor, add, backward, concat, fork, matmul, mul, \
     narrow, param, scale, scale_by, scale_channels, \
     take_channels, tile_spatial, transpose, tsum
+
+from gradassert import assert_gradients_close
 
 rng = np.random.default_rng(42)
 
@@ -252,18 +254,17 @@ class TestPrimitiveGradients:
         y = param(rng.normal(size=(2, 3)))
         p_cat = Tensor(rng.normal(size=(6, 3)))
         p_tr = Tensor(rng.normal(size=(3, 4)))
-        p_take = Tensor(rng.normal(size=(4, 5)))
+        p_take = Tensor(rng.normal(size=(4, 3)))
         p_tile = Tensor(rng.normal(size=(2, 3, 2, 2)))
         _fd(lambda: tsum(mul(concat([x, y], axis=0), p_cat)), {"x": x, "y": y})
         _fd(lambda: tsum(narrow(x, 0, 1, 2)), {"x": x})
         _fd(lambda: tsum(mul(transpose(x, (1, 0)), p_tr)), {"x": x})
-        _fd(lambda: tsum(mul(take_channels(x, np.array([2, 0, 1, 0, 2])), p_take)),
-            {"x": x})
+        _fd(lambda: tsum(mul(take_channels(x, np.array([2, 0, 1])), p_take)), {"x": x})
         v = param(rng.normal(size=(2, 3)))
         _fd(lambda: tsum(mul(tile_spatial(v, (2, 2)), p_tile)), {"v": v})
 
-    @pytest.mark.parametrize("index", [[3, 0, 4, 1, 2], [2, 0, 1, 0, 2]],
-                             ids=["permutation", "repeats"])
+    @pytest.mark.parametrize("index", [[3, 0, 4, 1, 2], [4, 3, 2, 1, 0], [0, 1, 2, 3, 4]],
+                             ids=["permutation", "reversal", "identity"])
     def test_take_channels_backward_equals_add_at(self, index):
         x = param(rng.normal(size=(2, 5, 3)))
         g = rng.normal(size=(2, len(index), 3))
@@ -273,6 +274,14 @@ class TestPrimitiveGradients:
         want = np.zeros(x.shape)
         np.add.at(want, (slice(None), index), g)
         assert np.array_equal(x.grad, want)
+
+    @pytest.mark.parametrize("index", [[2, 0, 1, 0, 2], [0, 1, 2, 3, 5], [-1, 0, 1, 2, 3],
+                                       [0, 1, 2, 3]],
+                             ids=["repeats", "out_of_range", "negative", "too_few"])
+    def test_take_channels_rejects_non_permutation(self, index):
+        x = param(np.ones((2, 5, 3)))
+        with pytest.raises(ArgumentError, match="not a permutation of 5 channels"):
+            take_channels(x, np.array(index))
 
     def test_corrupted_gradient_detected(self):
         x = param(rng.normal(size=(3,)))

@@ -64,6 +64,34 @@ class TestParams:
         err = capsys.readouterr().err
         assert err.startswith("error: seed:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["params", "bench", "train-toy"])
+    @pytest.mark.parametrize("text,field", [
+        ("frame_count=1\nchannels=6\n", "frame_count"),     # joints halve T, pool to 2 bins
+        ("frame_count=2\nchannels=6\n", "frame_count"),
+        ("joint_count=3\n", "joint_count"),
+        ("height=9\n", "height"),                           # the stem leaves 10 - 2 = 8
+        ("width=9\n", "width"),
+    ], ids=["frame_count_1", "frame_count_2", "joint_count_3", "height_9", "width_9"])
+    def test_shape_no_forward_can_run_is_usage_error(self, tmp_path, capsys, command,
+                                                     text, field):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TOY_CONFIG + text)
+        assert main([command, "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda p: None, "cannot read"),                                # missing
+        (lambda p: p.mkdir(), "cannot read"),                           # a directory
+        (lambda p: p.write_bytes(b"seed=1 # \xff\xfe\n"), "not UTF-8"),
+    ], ids=["missing", "directory", "not_utf8"])
+    def test_unreadable_config_file_is_usage_error(self, tmp_path, capsys, make, message):
+        path = tmp_path / "toy.cfg"
+        make(path)
+        assert main(["params", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -74,6 +102,12 @@ class TestGradcheck:
     def test_single_module_passes(self, capsys):
         assert main(["gradcheck", "--module", "heads", "--seed", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-4"])
+    def test_bad_tolerance_is_usage_error(self, capsys, value):
+        assert main(["gradcheck", "--module", "heads", f"--tolerance={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: tolerance:") and "Traceback" not in err
 
     def test_impossible_tolerance_fails(self, capsys):
         assert main(["gradcheck", "--module", "heads", "--tolerance", "1e-18"]) == 1
@@ -91,6 +125,12 @@ class TestBenchCli:
     def test_bad_duration_is_usage_error(self, toy_config):
         assert main(["bench", "--config", toy_config, "--duration", "-1"]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_duration_is_usage_error(self, toy_config, capsys, value):
+        assert main(["bench", "--config", toy_config, "--duration", value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: duration:") and "Traceback" not in err
+
     def test_truncated_weight_file_exits_1(self, toy_config, tmp_path, capsys):
         wdir = tmp_path / "weights"
         Model(load_config(toy_config)).save_weights(wdir)
@@ -98,6 +138,17 @@ class TestBenchCli:
         assert main(["bench", "--config", toy_config, "--duration", "0.1",
                      "--weights", str(wdir)]) == 1
         assert "truncated" in capsys.readouterr().err
+
+    def test_directory_in_place_of_weight_file_exits_1(self, toy_config, tmp_path, capsys):
+        wdir = tmp_path / "weights"
+        Model(load_config(toy_config)).save_weights(wdir)
+        (wdir / "head_der.b.t3tn").unlink()
+        (wdir / "head_der.b.t3tn").mkdir()
+        assert main(["bench", "--config", toy_config, "--duration", "0.1",
+                     "--weights", str(wdir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and "head_der.b.t3tn" in err
+        assert "Traceback" not in err
 
 
 class TestGenData:
@@ -115,6 +166,15 @@ class TestGenData:
         assert (sample_dir / "labels.txt").exists()
         assert (sample_dir / "joints.t3jt").exists()
         assert len(list((sample_dir / "front").glob("frame_*.t3tn"))) == 4
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_noise_is_usage_error(self, toy_config, tmp_path, capsys, value):
+        out_dir = tmp_path / "data"
+        assert main(["gen-data", "--config", toy_config, "--count", "1",
+                     "--noise", value, "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: noise:") and "Traceback" not in err
+        assert not any(out_dir.glob("*/labels.txt"))
 
 
 class TestTrainToy:

@@ -81,14 +81,13 @@ def template_predict(bundle: SampleBundle, recipe: SyntheticRecipe, task: str,
 
     if mod == "joints":
         observed = bundle.joints.joints - 0.5
-        patterns = [[amp * joint_pattern(recipe, t, cls, cfg.frame_count,
-                                         cfg.joint_count)
+        patterns = [[amp * joint_pattern(t, cls, cfg.frame_count, cfg.joint_count)
                      for cls in range(cfg.num_classes(t))]
                     for t, amp, _ in contribs]
     else:
         view_id = "inside" if mod == "interior" else "front"
         observed = bundle.view(view_id).frames - 0.5
-        patterns = [[amp * view_pattern(recipe, t, cls, cfg.frame_count,
+        patterns = [[amp * view_pattern(t, cls, cfg.frame_count,
                                         cfg.view_height, cfg.view_width)
                      for cls in range(cfg.num_classes(t))]
                     for t, amp, _ in contribs]
@@ -210,6 +209,11 @@ class TestConfig:
         name = text.split("=")[0]
         with pytest.raises(ConfigError, match=f"^{name}: "):
             parse_config(text + "\n")
+
+    def test_single_class_task_rejected(self):
+        # the model reads each head's class count from the config alone
+        with pytest.raises(ConfigError, match="^classes_dbr: "):
+            parse_config("classes_dbr=1\n")
 
     def test_zero_rates_accepted(self):
         cfg = parse_config("base_lr=0\nmomentum=0\nweight_decay=0\nseed=0\n")
@@ -395,6 +399,18 @@ class TestSampleDir:
         assert streams.skipped == 1
         loaded = streams.train + streams.val + streams.test
         assert len(loaded) == 2 and odd.sample_id not in [s.sample_id for s in loaded]
+
+    def test_joints_path_that_is_a_directory_skipped(self, tmp_path):
+        bundles = list(generate_synthetic(SyntheticRecipe(noise=0.1), 3, 18, TOY))
+        for b in bundles:
+            write_sample_dir(b, tmp_path)
+        path = tmp_path / bundles[1].sample_id / "joints.t3jt"
+        path.unlink()
+        path.mkdir()
+        streams = load_sample_dir(tmp_path, config=TOY)
+        assert streams.skipped == 1
+        loaded = streams.train + streams.val + streams.test
+        assert bundles[1].sample_id not in [s.sample_id for s in loaded]
 
     def test_each_sample_file_opened_once(self, tmp_path, monkeypatch):
         cfg = TOY.replace(frame_count=8)

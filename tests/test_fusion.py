@@ -10,11 +10,11 @@ from mmtl.errors import ArgumentError, DimensionError
 from mmtl.fusion import ModalityFeatures, concat_fuse, \
     fuse_all, init_concat_fuse, init_gate_params, mean_fallback, shared_attention, \
     task_fuse, task_gates
-from mmtl.gradcheck import assert_gradients_close
 from mmtl.ops import softmax
 from mmtl.tensor import Tensor, mul, param, tsum
 
 import oracles
+from gradassert import assert_gradients_close
 
 
 def make_feats(rng, c=4, h=3, w=3, as_params=False, n=2):

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmtl.config import TASKS
 from mmtl.errors import ArgumentError, InputError, TrainingDiverged
-from mmtl.gradcheck import assert_gradients_close
-from mmtl.heads import TaskSpec, compute_metrics, format_metrics_record, \
+from mmtl.heads import compute_metrics, format_metrics_record, \
     head_forward, init_head, mean_accuracy, parse_metrics_record, total_loss
 from mmtl.optim import OptimizerState, lr_for_epoch, sgd_step
 from mmtl.tensor import Tensor, param
+
+from gradassert import assert_gradients_close
 
 rng = np.random.default_rng(0)
 
@@ -48,25 +50,21 @@ class TestHeadForward:
         p.bias.data = rng.normal(size=3)
         feat = param(rng.normal(size=(2, 4, 2, 2)))
         assert_gradients_close(
-            lambda: total_loss([head_forward(feat, p)], [[2, 0]]),
+            lambda: total_loss([head_forward(feat, p)], [[2, 0]], ["der"]),
             {"feat": feat, **p.tensors()})
-
-    def test_task_spec_validation(self):
-        with pytest.raises(ArgumentError):
-            TaskSpec("der", 1)
 
 
 class TestTotalLoss:
     def test_uniform_logits(self):
         logits = [Tensor(np.zeros((1, 4))) for _ in range(4)]
-        loss = total_loss(logits, [[0], [1], [2], [3]])
+        loss = total_loss(logits, [[0], [1], [2], [3]], TASKS)
         assert abs(loss.item() - 4 * math.log(4)) < 1e-12
 
     def test_certain_correct_tasks_vanish(self):
         gap = 100.0
         certain = Tensor(np.array([[gap, 0.0]]))
         uniform = Tensor(np.zeros((1, 2)))
-        loss = total_loss([uniform, certain, certain, certain], [[0], [0], [0], [0]])
+        loss = total_loss([uniform, certain, certain, certain], [[0], [0], [0], [0]], TASKS)
         assert abs(loss.item() - math.log(2)) < 1e-12
 
     def test_matches_direct_formula(self):
@@ -77,35 +75,40 @@ class TestTotalLoss:
             p = np.exp(lg - lg.max())
             p /= p.sum()
             expect += -math.log(p[y])
-        loss = total_loss([Tensor(lg[None]) for lg in logits], [[y] for y in labels])
+        loss = total_loss([Tensor(lg[None]) for lg in logits], [[y] for y in labels], TASKS)
         assert abs(loss.item() - expect) < 1e-12
 
     def test_batch_mean_of_sample_sums(self):
         logits = [rng.normal(size=(3, k)) for k in (4, 3, 5, 2)]
         labels = [[2, 0, 1], [0, 2, 2], [4, 4, 0], [1, 0, 1]]
         per_sample = [total_loss([Tensor(lg[n:n + 1]) for lg in logits],
-                                 [[ys[n]] for ys in labels]).item() for n in range(3)]
-        loss = total_loss([Tensor(lg) for lg in logits], labels)
+                                 [[ys[n]] for ys in labels], TASKS).item() for n in range(3)]
+        loss = total_loss([Tensor(lg) for lg in logits], labels, TASKS)
         assert abs(loss.item() - np.mean(per_sample)) < 1e-12
 
     def test_loss_nonnegative(self):
         for _ in range(20):
             logits = [Tensor(rng.normal(scale=5, size=(2, 3))) for _ in range(4)]
             labels = [rng.integers(3, size=2).tolist() for _ in range(4)]
-            assert total_loss(logits, labels).item() >= 0.0
+            assert total_loss(logits, labels, TASKS).item() >= 0.0
 
     def test_decomposes_into_task_losses(self):
         logits = [Tensor(rng.normal(size=(2, 4))) for _ in range(4)]
         labels = [[1, 0], [2, 2], [0, 3], [3, 1]]
-        total = total_loss(logits, labels).item()
-        parts = sum(total_loss([lg], [ys]).item() for lg, ys in zip(logits, labels))
+        total = total_loss(logits, labels, TASKS).item()
+        parts = sum(total_loss([lg], [ys], [t]).item()
+                    for t, lg, ys in zip(TASKS, logits, labels))
         assert abs(total - parts) < 1e-12
 
     def test_out_of_range_label_names_task(self):
-        specs = [TaskSpec("der", 4), TaskSpec("dbr", 4)]
         logits = [Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4)))]
         with pytest.raises(InputError, match="dbr"):
-            total_loss(logits, [[0, 1], [2, 7]], specs)
+            total_loss(logits, [[0, 1], [2, 7]], ["der", "dbr"])
+
+    def test_task_count_must_match(self):
+        logits = [Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4)))]
+        with pytest.raises(ArgumentError, match="2 tasks"):
+            total_loss(logits[:1], [[0]], ["der", "dbr"])
 
 
 class TestMetrics:

@@ -5,9 +5,10 @@ import numpy.testing as npt
 import pytest
 
 from mmtl.errors import InputError
-from mmtl.gradcheck import assert_gradients_close
 from mmtl.joints import JointSequence, init_joint_branch, joints_forward
 from mmtl.tensor import Tensor, mul, tsum
+
+from gradassert import assert_gradients_close
 
 
 def make_branch(rng, j=5, c=8, h=3, w=3):

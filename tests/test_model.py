@@ -17,7 +17,7 @@ from mmtl.ablate import variant_config
 from mmtl.bench import bench_fps
 from mmtl.config import ModelConfig
 from mmtl.data import SyntheticRecipe, generate_synthetic
-from mmtl.errors import ConfigError, InputError
+from mmtl.errors import ArgumentError, ConfigError, InputError
 from mmtl.joints import JointSequence
 from mmtl.model import Model, count_params
 from mmtl.optim import OptimizerState, sgd_step
@@ -86,6 +86,30 @@ class TestForward:
         [s] = toy_samples(1, cfg=cfg)
         out = model.forward_sample(s)
         assert out.telemetry is None
+
+
+class TestConfigBounds:
+    """``ModelConfig.validate`` admits the smallest shapes a forward can run."""
+
+    @pytest.mark.parametrize("cfg", [
+        TOY.replace(frame_count=4, joint_count=4),
+        TOY.replace(height=8, width=8),                 # view_height - 2, view_width - 2
+        TOY.replace(frame_count=1, channels=6, drop_modalities=("joints",)),
+        TOY.replace(height=12, width=12, joint_count=4,
+                    drop_modalities=("exterior", "interior")),
+    ], ids=["joints_at_4", "stem_output", "one_frame_no_joints", "joints_only_any_grid"])
+    def test_forward_runs_at_each_bound(self, cfg):
+        out = Model(cfg).forward(toy_samples(2, cfg=cfg))
+        assert [lg.shape for lg in out.logits.values()] == [(2, 4)] * 4
+
+    @pytest.mark.parametrize("change,field", [
+        (dict(joint_count=3), "joint_count"),
+        (dict(height=9), "height"),
+        (dict(width=9, drop_modalities=("exterior",)), "width"),
+    ])
+    def test_one_past_each_bound_rejected(self, change, field):
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            TOY.replace(**change)
 
 
 class TestOpCount:
@@ -445,6 +469,37 @@ class TestTrainingLoop:
         assert metrics.gate_telemetry.shape == (4, 3)
         assert metrics.param_count == model.param_count()
         assert np.isfinite(metrics.loss_total)
+
+    def test_evaluate_iterates_samples_once(self):
+        class CountingList(list):
+            passes = 0
+
+            def __iter__(self):
+                self.passes += 1
+                return super().__iter__()
+
+        samples = CountingList(toy_samples(5, seed=2))
+        metrics = evaluate(Model(TOY), samples)
+        assert samples.passes == 1
+        assert metrics.fps > 0
+
+    def test_evaluate_losses_match_hand_log_sum_exp(self):
+        model = with_random_heads(Model(TOY))
+        samples = toy_samples(8, seed=3)
+        metrics = evaluate(model, samples)
+        for task in TOY.active_tasks:
+            logits = [model.forward_sample(s).logits[task].data for s in samples]
+            labels = [s.labels[task] for s in samples]
+            want = np.mean([np.log(np.exp(lg - lg.max()).sum()) - (lg[y] - lg.max())
+                            for lg, y in zip(logits, labels)])
+            assert abs(metrics.loss[task] - want) <= 1e-12 * abs(want), task
+            hits = np.mean([np.argmax(lg) == y for lg, y in zip(logits, labels)])
+            assert metrics.accuracy[task] == hits
+        assert metrics.loss_total == pytest.approx(sum(metrics.loss.values()), rel=1e-15)
+
+    def test_evaluate_rejects_empty_set(self):
+        with pytest.raises(ArgumentError, match="empty sample set"):
+            evaluate(Model(TOY), [])
 
     def test_nan_losses_abort_with_diagnostic(self):
         model = Model(TOY)

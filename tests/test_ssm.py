@@ -10,11 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmtl.errors import DimensionError
-from mmtl.gradcheck import assert_gradients_close
 from mmtl.ssm import ScanDirection, compute_gate, scan
 from mmtl.tensor import Tape, Tensor, add, backward, mul, param, tsum
 
 import oracles
+from gradassert import assert_gradients_close
 
 
 Params = namedtuple("Params", "A B C D")   # unpacks into scan / compute_gate

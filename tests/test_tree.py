@@ -15,7 +15,6 @@ SRC = ROOT / "src" / "mmtl"
 ALLOWED_UNREAD = {
     "heads.parse_metrics_record": "reads format_metrics_record's lines back; the "
                                   "per-step training records on the ROADMAP will use it",
-    "gradcheck.assert_gradients_close": "the tests' gradient assertion",
 }
 
 
