@@ -94,13 +94,13 @@ def bench_fps(config: ModelConfig, batch_size: int = 1, duration: float = 2.0,
 def _timed_loop(run_batch: Callable[[], float], duration: float,
                 barrier=None) -> Tuple[List[float], float]:
     """Warm up, wait for the other workers if any, then time batches for
-    `duration` seconds. Returns the batch latencies and the window length."""
+    `duration` seconds, and at least one. Returns the latencies and the window."""
     for _ in range(WARMUP_BATCHES):
         run_batch()
     if barrier is not None:
         barrier.wait()
-    latencies: List[float] = []
     start = time.perf_counter()
+    latencies = [run_batch()]
     while time.perf_counter() - start < duration:
         latencies.append(run_batch())
     return latencies, time.perf_counter() - start

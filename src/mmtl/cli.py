@@ -18,6 +18,7 @@ from .data import SyntheticRecipe, generate_synthetic, negative_transfer_recipe,
 from .errors import ArgumentError, ConfigError, InputError, TrainingDiverged
 from .heads import format_metrics_record
 from .model import count_params
+from .serial import write_file
 from .train import run_toy_training
 from .verify import MODULE_SELECTORS, gradcheck_run
 
@@ -31,7 +32,7 @@ def _load_cfg(args) -> ModelConfig:
 
 def _write_out(args, text: str) -> None:
     if getattr(args, "out", None):
-        Path(args.out).write_text(text + "\n")
+        write_file(args.out, (text + "\n").encode())
 
 
 def cmd_params(args) -> int:
@@ -92,8 +93,10 @@ def cmd_train_toy(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _load_cfg(args)
-    if args.variants:
+    if args.variants is not None:
         variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+        if not variants:
+            raise ArgumentError(f"variants: no variant named in {args.variants!r}")
     elif args.suite == "modality":
         variants = ["full", "exterior_only", "interior_only", "joints_only"]
     else:
@@ -110,12 +113,9 @@ def cmd_gen_data(args) -> int:
     cfg = _load_cfg(args)
     recipe = SyntheticRecipe(noise=args.noise)
     root = Path(args.out or "synthetic_data")
-    root.mkdir(parents=True, exist_ok=True)
-    n = 0
     for bundle in generate_synthetic(recipe, args.count, args.seed or 0, cfg):
         write_sample_dir(bundle, root)
-        n += 1
-    print(f"wrote {n} samples under {root}")
+    print(f"wrote {args.count} samples under {root}")
     return 0
 
 

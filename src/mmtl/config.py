@@ -52,10 +52,6 @@ class ModelConfig:
                      "view_width", "state_dim", "block_depth", "joint_count"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name}: must be positive")
-        if self.channels % self.frame_count != 0:
-            raise ConfigError(
-                f"channels: {self.channels} violates channels % frame_count == 0 "
-                f"(frame_count={self.frame_count})")
         if self.channels % (3 * self.frame_count) != 0:
             raise ConfigError(
                 f"channels: {self.channels} must divide into 3 views x "

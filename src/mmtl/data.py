@@ -21,17 +21,20 @@ resized (nearest neighbor) back to the view size.
 ``frame_*.t3tn`` files, in name order and once each, into one preallocated
 [T, 3, H, W] array: every frame of a view has the first frame's [3, H, W]
 shape. Pixels are clipped to [0, 1]. Views whose stored H x W differs from the
-config's view size are nearest-resized to it; the boxes index the stored inside
-frames, so face and body are cut before resizing. Every file is read through
-``serial.read_file``. A sample is skipped with a warning when a file is
-missing or malformed: a view with no frames, a frame or joints path that is a
-directory, a bad tensor or joints header, a truncated payload, a
-frame that is not [3, H, W] or not the shape of its view's first frame, or a
-boxes or labels file that is not the expected ASCII integers (boxes inside the
-frame and non-empty, labels within their task's classes), a view or joints
-file holding a NaN or infinite value, or a view or joints file whose frame
-count, or a joints file whose joint count, is not the config's: the model
-batches samples, so each must have the config's shapes.
+config's view size are nearest-resized to it; the boxes index the stored
+inside frames, so face and body are cut before resizing. Every path is
+written, read and listed through ``serial``, and writing makes the
+directories. A sample root that cannot be listed is an ``InputError``. Each of
+its entries is a sample, skipped with a warning when a file is missing or
+malformed: an entry that is not a directory, a view directory that is missing
+or has no frames, a frame or joints path that is a directory, a bad tensor or
+joints header, a truncated payload, a frame that is not [3, H, W] or not the
+shape of its view's first frame, or a boxes or labels file that is not the
+expected ASCII integers (boxes inside the frame and non-empty, labels within
+their task's classes), a view or joints file holding a NaN or infinite value,
+or a view or joints file whose frame count, or a joints file whose joint
+count, is not the config's: the model batches samples, so each must have the
+config's shapes.
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ from .blocks import EXTERIOR_VIEWS, ViewSequence
 from .config import MODALITIES, TASKS, ModelConfig
 from .errors import ArgumentError, InputError
 from .joints import JointSequence
-from .serial import dump_joints, dump_tensor, load_joints, parse_tensor, read_file
-from .tensor import Tensor
+from .serial import dump_joints, dump_tensor, list_dir, load_joints, parse_tensor, \
+    read_file, write_file
 
 log = logging.getLogger(__name__)
 
@@ -264,20 +267,19 @@ def _modality_contributions(recipe: SyntheticRecipe, mod: str):
 def write_sample_dir(bundle: SampleBundle, root) -> Path:
     base = Path(root) / (bundle.sample_id or "sample")
     for vid in STORED_VIEWS:
-        view = bundle.view(vid)
-        vdir = base / vid
-        vdir.mkdir(parents=True, exist_ok=True)
-        for t in range(view.frames.shape[0]):
-            dump_tensor(Tensor(view.frames[t]), vdir / f"frame_{t:03d}.t3tn")
+        frames = bundle.view(vid).frames
+        for t in range(frames.shape[0]):
+            dump_tensor(frames[t], base / vid / f"frame_{t:03d}.t3tn")
     inside = bundle.view("inside").frames
-    face_box, body_box = default_boxes(inside.shape[2], inside.shape[3])
-    with open(base / "boxes.txt", "w") as fh:
-        fh.write(" ".join(str(v) for v in face_box) + "\n")
-        fh.write(" ".join(str(v) for v in body_box) + "\n")
+    boxes = default_boxes(inside.shape[2], inside.shape[3])
+    write_file(base / "boxes.txt", "".join(_int_line(box) for box in boxes).encode())
     dump_joints(bundle.joints.joints, base / "joints.t3jt")
-    with open(base / "labels.txt", "w") as fh:
-        fh.write(" ".join(str(bundle.labels[t]) for t in TASKS) + "\n")
+    write_file(base / "labels.txt", _int_line(bundle.labels[t] for t in TASKS).encode())
     return base
+
+
+def _int_line(values) -> str:
+    return " ".join(str(v) for v in values) + "\n"
 
 
 def _read_view(vdir: str) -> np.ndarray:
@@ -286,10 +288,7 @@ def _read_view(vdir: str) -> np.ndarray:
     The directory is listed once and each file read once into a preallocated
     array; the first frame fixes H and W and every later frame must match.
     """
-    try:
-        names = sorted(fnmatch.filter(os.listdir(vdir), "frame_*.t3tn"))
-    except (FileNotFoundError, NotADirectoryError):
-        names = []
+    names = fnmatch.filter(list_dir(vdir), "frame_*.t3tn")
     if not names:
         raise InputError(f"no frames in {vdir}")
     frames = None
@@ -396,15 +395,11 @@ def load_sample_dir(root, fractions: Sequence[float] = (0.65, 0.15, 0.20), *,
     Samples are ordered by the stable hash of their id (file order never
     matters) and assigned contiguously using largest-remainder counts.
     Samples with missing or malformed files are skipped with a warning and
-    counted in ``skipped``.
+    counted in ``skipped``; a root that cannot be listed is an InputError.
     """
-    sample_ids = []
-    if os.path.exists(root):
-        sample_ids = sorted(e.name for e in os.scandir(root) if e.is_dir())
-
     loaded: List[SampleBundle] = []
     skipped = 0
-    for sid in sample_ids:
+    for sid in list_dir(root):
         try:
             loaded.append(_load_one_sample(os.path.join(root, sid), config))
         except InputError as exc:

@@ -257,16 +257,15 @@ class Model:
     def save_weights(self, directory) -> None:
         """One float32 ``T3TN`` file per parameter and per running statistic."""
         d = Path(directory)
-        d.mkdir(parents=True, exist_ok=True)
         for name, data in self._checkpoint().items():
-            dump_tensor(Tensor(data), d / (name + ".t3tn"))
+            dump_tensor(data, d / (name + ".t3tn"))
 
     def load_weights(self, directory) -> None:
         """Read what ``save_weights`` wrote; nothing changes unless every file loads."""
         d = Path(directory)
         loaded = {}
         for name, data in self._checkpoint().items():
-            loaded[name] = load_tensor(d / (name + ".t3tn")).data
+            loaded[name] = load_tensor(d / (name + ".t3tn"))
             if loaded[name].shape != data.shape:
                 raise InputError(f"{name}: stored shape {loaded[name].shape} != {data.shape}")
         for name, p in self._params.items():

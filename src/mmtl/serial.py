@@ -5,35 +5,31 @@ row-major payload as little-endian float32 (values narrowed from float64).
 
 Joint file: magic b"T3JT", u32 T, u32 J, then T*J*3 little-endian float32.
 
-``read_file`` is the package's one way to read a file: every sample,
-checkpoint and config file goes through it, so a file that cannot be read
-(missing, a directory in its place, no permission) is an ``InputError``,
-which ``config.load_config`` turns into a ``ConfigError``.
+This module, in bytes and numpy arrays only, is the package's one filesystem
+boundary: every path the package reads, writes or lists goes through
+``read_file``, ``write_file`` or ``list_dir``. A failure (missing, a directory
+or a file in the way, no permission) is an ``InputError`` that names the
+path, which ``config.load_config`` turns into a ``ConfigError``.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError
-from .tensor import Tensor
 
 TENSOR_MAGIC = b"T3TN"
 JOINTS_MAGIC = b"T3JT"
 
 
-def dump_tensor(t: Tensor, path) -> None:
-    data = t.data
-    if data.ndim > 255:
-        raise InputError("tensor rank exceeds format limit")
-    with open(path, "wb") as fh:
-        fh.write(TENSOR_MAGIC)
-        fh.write(struct.pack("<B", data.ndim))
-        fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
-        fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
+def dump_tensor(data: np.ndarray, path) -> None:
+    write_file(path, TENSOR_MAGIC, struct.pack(f"<B{data.ndim}I", data.ndim, *data.shape),
+               np.ascontiguousarray(data, dtype="<f4"))
 
 
 def read_file(path) -> bytes:
@@ -46,8 +42,28 @@ def read_file(path) -> bytes:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def load_tensor(path) -> Tensor:
-    return Tensor(parse_tensor(path, read_file(path)).astype(np.float64))
+def write_file(path, *chunks) -> None:
+    """Write bytes and contiguous arrays to a file, in order, making its parent
+    directories; any failure is an InputError that names the path."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def list_dir(path) -> list[str]:
+    """A directory's entry names, sorted; any failure is an InputError that names it."""
+    try:
+        return sorted(os.listdir(path))
+    except OSError as exc:
+        raise InputError(f"cannot list {path}: {exc.strerror or exc}") from None
+
+
+def load_tensor(path) -> np.ndarray:
+    return parse_tensor(path, read_file(path)).astype(np.float64)
 
 
 def parse_tensor(path, raw: bytes) -> np.ndarray:
@@ -69,10 +85,8 @@ def dump_joints(joints: np.ndarray, path) -> None:
     if joints.ndim != 3 or joints.shape[2] != 3:
         raise InputError(f"joints must be [T, J, 3], got {joints.shape}")
     t, j, _ = joints.shape
-    with open(path, "wb") as fh:
-        fh.write(JOINTS_MAGIC)
-        fh.write(struct.pack("<II", t, j))
-        fh.write(np.ascontiguousarray(joints, dtype="<f4").tobytes())
+    write_file(path, JOINTS_MAGIC, struct.pack("<II", t, j),
+               np.ascontiguousarray(joints, dtype="<f4"))
 
 
 def load_joints(path) -> np.ndarray:

@@ -17,6 +17,7 @@ from .errors import ArgumentError, TrainingDiverged
 from .heads import TaskMetrics, compute_metrics, format_metrics_record, total_loss
 from .model import Model
 from .optim import OptimizerState, sgd_step
+from .serial import write_file
 from .tensor import Tape, Tensor, backward
 
 
@@ -98,33 +99,30 @@ def run_toy_training(config: ModelConfig, recipe: SyntheticRecipe, steps: int,
     rng = np.random.default_rng([config.seed, 0xBA7C4])
     eval_every = eval_every or max(1, steps // 4)
     result = TrainResult(model=model)
-    log_fh = open(log_path, "w") if log_path else None
+    if log_path:
+        write_file(log_path)    # an unwritable log fails before the first step
 
-    try:
-        for step in range(steps):
-            idx = rng.choice(len(train_set), size=batch_size, replace=False)
-            batch = [train_set[i] for i in idx]
-            model.zero_grad()
-            with Tape() as tape:
-                loss, _ = batch_loss(model, batch, train=True)
-            loss_val = loss.item()
-            if not math.isfinite(loss_val):
-                raise TrainingDiverged(f"non-finite loss at step {step}")
-            if step == 0:
-                result.initial_loss = loss_val
-            backward(tape, loss)
-            opt.epoch = (step * batch_size) // train_count
-            sgd_step(opt, model.parameters())
-            result.final_loss = loss_val
+    for step in range(steps):
+        idx = rng.choice(len(train_set), size=batch_size, replace=False)
+        batch = [train_set[i] for i in idx]
+        model.zero_grad()
+        with Tape() as tape:
+            loss, _ = batch_loss(model, batch, train=True)
+        loss_val = loss.item()
+        if not math.isfinite(loss_val):
+            raise TrainingDiverged(f"non-finite loss at step {step}")
+        if step == 0:
+            result.initial_loss = loss_val
+        backward(tape, loss)
+        opt.epoch = (step * batch_size) // train_count
+        sgd_step(opt, model.parameters())
+        result.final_loss = loss_val
 
-            if (step + 1) % eval_every == 0 or step == steps - 1:
-                metrics = evaluate(model, val_set)
-                metrics.epoch = opt.epoch
-                result.records.append(metrics)
-                if log_fh:
-                    log_fh.write(format_metrics_record(metrics) + "\n")
-                    log_fh.flush()
-    finally:
-        if log_fh:
-            log_fh.close()
+        if (step + 1) % eval_every == 0 or step == steps - 1:
+            metrics = evaluate(model, val_set)
+            metrics.epoch = opt.epoch
+            result.records.append(metrics)
+            if log_path:    # rewritten whole, so a run that diverges keeps its records
+                write_file(log_path, *(f"{format_metrics_record(m)}\n".encode()
+                                       for m in result.records))
     return result

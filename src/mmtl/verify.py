@@ -36,10 +36,6 @@ class CheckReport:
     def passed(self) -> bool:
         return all(v < self.tolerance for v in self.errors.values())
 
-    @property
-    def failures(self) -> List[str]:
-        return [k for k, v in self.errors.items() if v >= self.tolerance]
-
     def lines(self) -> str:
         rows = [f"[{'PASS' if self.passed else 'FAIL'}] {self.module} "
                 f"(tol {self.tolerance:g})"]

@@ -27,6 +27,12 @@ def toy_config(tmp_path):
     return str(path)
 
 
+def _assert_write_error(capsys, code, path):
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}") and "Traceback" not in err
+
+
 class TestParams:
     def test_default_config(self, capsys):
         assert main(["params"]) == 0
@@ -40,6 +46,21 @@ class TestParams:
         assert main(["params", "--config", toy_config, "--out", str(out_path)]) == 0
         text = out_path.read_text()
         assert "total=" in text
+
+    def test_out_makes_its_parent_directories(self, toy_config, tmp_path):
+        out_path = tmp_path / "new" / "deeper" / "params.txt"
+        assert main(["params", "--config", toy_config, "--out", str(out_path)]) == 0
+        assert "total=" in out_path.read_text()
+
+    @pytest.mark.parametrize("make,name", [
+        (lambda p: p.mkdir(), "out"),                       # a directory in the file's place
+        (lambda p: p.write_text("x\n"), "out/params.txt"),  # a file in a directory's place
+    ], ids=["directory", "parent_is_file"])
+    def test_unwritable_out_exits_1(self, toy_config, tmp_path, capsys, make, name):
+        make(tmp_path / "out")
+        out_path = tmp_path / name
+        code = main(["params", "--config", toy_config, "--out", str(out_path)])
+        _assert_write_error(capsys, code, out_path)
 
     def test_bad_config_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -122,6 +143,13 @@ class TestBenchCli:
         text = out_path.read_text()
         assert "fps=" in text and "p50_ms=" in text
 
+    def test_window_shorter_than_a_batch_times_one(self, toy_config, tmp_path):
+        out_path = tmp_path / "bench.txt"
+        assert main(["bench", "--config", toy_config, "--duration", "1e-9",
+                     "--out", str(out_path)]) == 0
+        fields = dict(kv.split("=") for kv in out_path.read_text().split())
+        assert float(fields["fps"]) > 0
+
     def test_bad_duration_is_usage_error(self, toy_config):
         assert main(["bench", "--config", toy_config, "--duration", "-1"]) == 2
 
@@ -166,6 +194,13 @@ class TestGenData:
         assert (sample_dir / "labels.txt").exists()
         assert (sample_dir / "joints.t3jt").exists()
         assert len(list((sample_dir / "front").glob("frame_*.t3tn"))) == 4
+
+    def test_out_that_is_a_file_exits_1(self, toy_config, tmp_path, capsys):
+        out_path = tmp_path / "data"
+        out_path.write_text("x\n")
+        code = main(["gen-data", "--config", toy_config, "--count", "1",
+                     "--out", str(out_path)])
+        _assert_write_error(capsys, code, out_path)
 
     @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     def test_bad_noise_is_usage_error(self, toy_config, tmp_path, capsys, value):
@@ -216,6 +251,18 @@ class TestTrainToy:
         assert code == 0
         assert any(wdir.glob("*.t3tn"))
 
+    def test_log_path_that_is_a_directory_exits_1(self, toy_config, tmp_path, capsys):
+        code = main(["train-toy", "--config", toy_config, "--steps", "2", "--batch", "2",
+                     "--train-count", "4", "--val-count", "2", "--out", str(tmp_path)])
+        _assert_write_error(capsys, code, tmp_path)
+
+    def test_unwritable_weights_directory_exits_1(self, toy_config, tmp_path, capsys):
+        wdir = tmp_path / "weights"
+        wdir.write_text("x\n")
+        code = main(["train-toy", "--config", toy_config, "--steps", "2", "--batch", "2",
+                     "--train-count", "4", "--val-count", "2", "--dump-weights", str(wdir)])
+        _assert_write_error(capsys, code, wdir)
+
 
 class TestAblateCli:
     def test_custom_variant_list(self, toy_config, tmp_path, capsys):
@@ -230,3 +277,10 @@ class TestAblateCli:
     def test_unknown_variant_is_usage_error(self, toy_config):
         assert main(["ablate", "--config", toy_config, "--variants", "bogus",
                      "--steps", "1"]) == 2
+
+    @pytest.mark.parametrize("value", [",", " , ", ""])
+    def test_empty_variant_list_is_usage_error(self, toy_config, capsys, value):
+        assert main(["ablate", "--config", toy_config, "--variants", value,
+                     "--steps", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: variants:") and "Traceback" not in err

@@ -4,6 +4,7 @@ config parsing, and the on-disk sample layout.
 
 import builtins
 import itertools
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -17,7 +18,6 @@ from mmtl.data import SampleBundle, SyntheticRecipe, _modality_contributions, \
     split_sizes, stable_id_hash, view_pattern, write_sample_dir
 from mmtl.errors import ArgumentError, ConfigError, InputError
 from mmtl.serial import dump_joints, dump_tensor, load_joints, load_tensor
-from mmtl.tensor import Tensor
 
 TOY = ModelConfig(frame_count=4, channels=24, height=3, width=3, view_height=12,
                   view_width=12, state_dim=2, block_depth=1, joint_count=6)
@@ -26,11 +26,11 @@ TOY = ModelConfig(frame_count=4, channels=24, height=3, width=3, view_height=12,
 class TestSerialization:
     def test_tensor_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
-        t = Tensor(rng.normal(size=(3, 4, 5)))
+        t = rng.normal(size=(3, 4, 5))
         dump_tensor(t, tmp_path / "x.t3tn")
         back = load_tensor(tmp_path / "x.t3tn")
         assert back.shape == (3, 4, 5)
-        assert np.abs(back.data - t.data).max() < 1e-6    # f32 narrowing
+        assert np.abs(back - t).max() < 1e-6    # f32 narrowing
 
     def test_tensor_magic_checked(self, tmp_path):
         (tmp_path / "bad.t3tn").write_bytes(b"NOPE" + b"\x00" * 16)
@@ -46,17 +46,28 @@ class TestSerialization:
         assert np.abs(back - j).max() < 1e-6
 
     def test_joints_header_mismatch(self, tmp_path):
-        import struct
         payload = b"T3JT" + struct.pack("<II", 2, 3) + b"\x00" * 4
         (tmp_path / "short.t3jt").write_bytes(payload)
         with pytest.raises(InputError, match="payload"):
             load_joints(tmp_path / "short.t3jt")
 
+    def test_writers_write_the_format_bytes(self, tmp_path):
+        values = [0.5, -1.0, 0.1, 3.25, 0.0, -0.125]    # 0.1 narrows to float32
+        a = np.array(values).reshape(2, 3)
+        dump_tensor(a, tmp_path / "x.t3tn")
+        header = b"T3TN" + struct.pack("<B", 2) + struct.pack("<2I", 2, 3)
+        assert (tmp_path / "x.t3tn").read_bytes() == header + struct.pack("<6f", *values)
+        dump_tensor(np.array(2.5), tmp_path / "scalar.t3tn")
+        assert (tmp_path / "scalar.t3tn").read_bytes() == b"T3TN\x00" + struct.pack("<f", 2.5)
+        dump_joints(a.reshape(1, 2, 3), tmp_path / "j.t3jt")
+        assert (tmp_path / "j.t3jt").read_bytes() == \
+            b"T3JT" + struct.pack("<II", 1, 2) + struct.pack("<6f", *values)
+
     @given(st.lists(st.integers(0, 3), max_size=3), st.integers(0, 3), st.integers(0, 3))
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_truncated_files_raise_input_error(self, tmp_path, dims, t, j):
-        dump_tensor(Tensor(np.ones(dims)), tmp_path / "x.t3tn")
+        dump_tensor(np.ones(dims), tmp_path / "x.t3tn")
         dump_joints(np.ones((t, j, 3)), tmp_path / "j.t3jt")
         for path, load in ((tmp_path / "x.t3tn", load_tensor),
                            (tmp_path / "j.t3jt", load_joints)):
@@ -231,20 +242,19 @@ def _rewrite(path, edit):
 
 def _poison(path, value):
     """Set one value of a stored frame to ``value``."""
-    frame = load_tensor(path).data
+    frame = load_tensor(path)
     frame[1, 2, 3] = value
-    dump_tensor(Tensor(frame), path)
+    dump_tensor(frame, path)
 
 
 # one damaged frame file in a view directory; each must skip only its sample
 FRAME_FAULTS = {
-    "later_frame_other_shape": lambda v: dump_tensor(Tensor(np.zeros((3, 8, 8))),
+    "later_frame_other_shape": lambda v: dump_tensor(np.zeros((3, 8, 8)),
                                                      v / "frame_002.t3tn"),
     "directory_named_as_frame": lambda v: (v / "frame_999.t3tn").mkdir(),
     "bad_magic": lambda v: _rewrite(v / "frame_000.t3tn", lambda raw: b"NOPE" + raw[4:]),
-    "rank_2": lambda v: dump_tensor(Tensor(np.zeros((12, 12))), v / "frame_000.t3tn"),
-    "four_channels": lambda v: dump_tensor(Tensor(np.zeros((4, 12, 12))),
-                                           v / "frame_000.t3tn"),
+    "rank_2": lambda v: dump_tensor(np.zeros((12, 12)), v / "frame_000.t3tn"),
+    "four_channels": lambda v: dump_tensor(np.zeros((4, 12, 12)), v / "frame_000.t3tn"),
     "truncated_payload": lambda v: _rewrite(v / "frame_001.t3tn", lambda raw: raw[:-4]),
     "nan_pixel": lambda v: _poison(v / "frame_001.t3tn", np.nan),
     "inf_pixel": lambda v: _poison(v / "frame_001.t3tn", np.inf),    # a clip would hide it
@@ -256,6 +266,30 @@ class TestSampleDir:
         streams = load_sample_dir(tmp_path, config=TOY)
         assert streams.train == [] and streams.val == [] and streams.test == []
         assert streams.skipped == 0
+
+    @pytest.mark.parametrize("make", [lambda p: None, lambda p: p.write_bytes(b"")],
+                             ids=["missing", "file"])
+    def test_root_that_cannot_be_listed_raises(self, tmp_path, make):
+        root = tmp_path / "samples"
+        make(root)
+        with pytest.raises(InputError, match="cannot list"):
+            load_sample_dir(root, config=TOY)
+
+    def test_file_beside_the_samples_skipped(self, tmp_path):
+        [bundle] = generate_synthetic(SyntheticRecipe(noise=0.1), 1, 12, TOY)
+        write_sample_dir(bundle, tmp_path)
+        (tmp_path / "notes.txt").write_text("not a sample\n")
+        streams = load_sample_dir(tmp_path, fractions=(1.0, 0.0, 0.0), config=TOY)
+        assert streams.skipped == 1
+        assert [s.sample_id for s in streams.train] == [bundle.sample_id]
+
+    def test_text_files_written_exactly(self, tmp_path):
+        [bundle] = generate_synthetic(SyntheticRecipe(noise=0.1), 1, 12, TOY)
+        bundle.labels = {"der": 1, "dbr": 0, "tcr": 2, "vbr": 3}
+        base = write_sample_dir(bundle, tmp_path)
+        # 12 x 12 views: face box x 3..9, y 0..6; body box the lower half
+        assert (base / "boxes.txt").read_bytes() == b"3 0 9 6\n0 6 12 12\n"
+        assert (base / "labels.txt").read_bytes() == b"1 0 2 3\n"
 
     def test_split_sizes_largest_remainder(self):
         assert split_sizes(20, (0.65, 0.15, 0.20)) == [13, 3, 4]

@@ -1,7 +1,10 @@
-"""Source-tree guard: every top-level name in the package has a reader.
+"""Source-tree guards: every top-level name in the package has a reader, and
+``serial`` is the package's one filesystem boundary.
 
 A name that only tests read is library code no program runs, so it must
 either gain a reader in ``src/mmtl`` or ``perfbench/`` or leave the tree.
+A path opened, created, listed or removed anywhere but ``serial`` would fail
+in its own way instead of as ``serial``'s InputError that names the path.
 """
 
 import ast
@@ -54,3 +57,25 @@ def test_every_package_name_has_a_program_reader():
     assert [n for n in unread if n not in ALLOWED_UNREAD] == [], "names no program reads"
     # an allowlisted name that gains a reader or leaves the tree leaves the list
     assert sorted(set(ALLOWED_UNREAD) - set(unread)) == []
+
+
+FILESYSTEM_CALLS = {"open", "mkdir", "makedirs", "listdir", "scandir", "exists", "isfile",
+                    "isdir", "unlink", "rmdir", "write_text", "write_bytes", "read_text",
+                    "read_bytes"}
+
+
+def _filesystem_calls(tree: ast.Module):
+    """(line, name) of each call to a FILESYSTEM_CALLS name, as a function or a method."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in FILESYSTEM_CALLS:
+                yield node.lineno, name
+
+
+def test_only_serial_touches_the_filesystem():
+    calls = [f"{path.name}:{line} {name}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "serial.py"
+             for line, name in _filesystem_calls(ast.parse(path.read_text()))]
+    assert calls == [], "filesystem calls outside serial.py"

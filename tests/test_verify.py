@@ -6,12 +6,16 @@ from mmtl.errors import ArgumentError
 from mmtl.verify import MODULE_SELECTORS, gradcheck_run
 
 
+def _failures(report):
+    return [name for name, err in report.errors.items() if err >= report.tolerance]
+
+
 class TestGradcheckRun:
     def test_all_modules_pass_on_three_seeds(self):
         for seed in (0, 1, 2):
             for report in gradcheck_run("all", tolerance=1e-4, seed=seed,
                                         max_elements=4):
-                assert report.passed, f"{report.module}: {report.failures}"
+                assert report.passed, f"{report.module}: {_failures(report)}"
 
     def test_unknown_selector_rejected(self):
         with pytest.raises(ArgumentError, match="unknown module"):
@@ -20,14 +24,14 @@ class TestGradcheckRun:
     def test_corrupted_gradient_reported_by_name(self):
         [report] = gradcheck_run("heads", seed=0, corrupt="feat")
         assert not report.passed
-        assert report.failures == ["feat"]
+        assert _failures(report) == ["feat"]
         assert "FAIL" in report.lines()
 
     def test_tensor_core_corrupted_gradient_fails(self):
         [report] = gradcheck_run("tensor-core", seed=0, corrupt="x")
         assert not report.passed
-        assert "matmul.x" in report.failures
-        assert all(name.endswith(".x") for name in report.failures)
+        assert "matmul.x" in _failures(report)
+        assert all(name.endswith(".x") for name in _failures(report))
 
     def test_report_lines_name_every_tensor(self):
         [report] = gradcheck_run("ssm", seed=1)
