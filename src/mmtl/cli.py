@@ -18,7 +18,7 @@ from .data import SyntheticRecipe, generate_synthetic, negative_transfer_recipe,
 from .errors import ArgumentError, ConfigError, InputError, TrainingDiverged
 from .heads import format_metrics_record
 from .model import count_params
-from .serial import write_file
+from .serial import claim_file, make_dir, write_file
 from .train import run_toy_training
 from .verify import MODULE_SELECTORS, gradcheck_run
 
@@ -30,8 +30,15 @@ def _load_cfg(args) -> ModelConfig:
     return cfg
 
 
+def _claim_out(args) -> None:
+    """Check ``--out`` before the work, so a path that cannot be written fails
+    first; a file already there keeps its contents until the work succeeds."""
+    if args.out:
+        claim_file(args.out)
+
+
 def _write_out(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         write_file(args.out, (text + "\n").encode())
 
 
@@ -50,6 +57,7 @@ def cmd_params(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load_cfg(args)
+    _claim_out(args)
     record = bench_fps(cfg, batch_size=args.batch, duration=args.duration,
                        threads=args.threads, seed=args.seed or 0,
                        weights_dir=args.weights)
@@ -63,6 +71,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    _claim_out(args)
     reports = gradcheck_run(args.module, tolerance=args.tolerance,
                             seed=args.seed or 0)
     all_ok = True
@@ -78,6 +87,8 @@ def cmd_gradcheck(args) -> int:
 def cmd_train_toy(args) -> int:
     cfg = _load_cfg(args)
     recipe = SyntheticRecipe(noise=args.noise)
+    if args.dump_weights:
+        make_dir(args.dump_weights)     # an unwritable directory fails before the first step
     result = run_toy_training(cfg, recipe, steps=args.steps, batch_size=args.batch,
                               train_count=args.train_count, val_count=args.val_count,
                               log_path=args.out)
@@ -102,6 +113,7 @@ def cmd_ablate(args) -> int:
     else:
         variants = ["full"] + list(ABLATION_FLAGS)
     recipe = negative_transfer_recipe(noise=args.noise)
+    _claim_out(args)
     results = run_ablation(cfg, variants, recipe=recipe, steps=args.steps)
     table = format_table(results)
     print(table)

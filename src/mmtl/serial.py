@@ -6,10 +6,12 @@ row-major payload as little-endian float32 (values narrowed from float64).
 Joint file: magic b"T3JT", u32 T, u32 J, then T*J*3 little-endian float32.
 
 This module, in bytes and numpy arrays only, is the package's one filesystem
-boundary: every path the package reads, writes or lists goes through
-``read_file``, ``write_file`` or ``list_dir``. A failure (missing, a directory
-or a file in the way, no permission) is an ``InputError`` that names the
-path, which ``config.load_config`` turns into a ``ConfigError``.
+boundary: every path the package reads, writes, makes or lists goes through
+``read_file``, ``write_file``, ``claim_file``, ``make_dir`` or ``list_dir``. A failure
+(missing, a directory or a file in the way, no permission) is an
+``InputError`` that names the path, and also the path the OS named when that
+is another one, such as a file where a parent directory must go.
+``config.load_config`` turns it into a ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ def read_file(path) -> bytes:
         with open(path, "rb", buffering=0) as fh:
             return fh.read()
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise InputError(f"cannot read {path}: {_reason(path, exc)}") from None
 
 
 def write_file(path, *chunks) -> None:
@@ -51,7 +53,29 @@ def write_file(path, *chunks) -> None:
             for chunk in chunks:
                 fh.write(chunk)
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise InputError(f"cannot write {path}: {_reason(path, exc)}") from None
+
+
+def claim_file(path) -> None:
+    """Check that a file can be written before the work that fills it: make its
+    parent directories and open it for appending, which creates a missing file
+    empty and leaves one already there as it was; any failure is an InputError
+    that names the path."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "ab"):
+            pass
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {_reason(path, exc)}") from None
+
+
+def make_dir(path) -> None:
+    """Make a directory to write into, with its parents, if it is not there;
+    any failure is an InputError that names it."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {_reason(path, exc)}") from None
 
 
 def list_dir(path) -> list[str]:
@@ -59,7 +83,16 @@ def list_dir(path) -> list[str]:
     try:
         return sorted(os.listdir(path))
     except OSError as exc:
-        raise InputError(f"cannot list {path}: {exc.strerror or exc}") from None
+        raise InputError(f"cannot list {path}: {_reason(path, exc)}") from None
+
+
+def _reason(path, exc: OSError) -> str:
+    """Why ``exc`` stopped the work on ``path``, prefixed by the path the OS
+    named when that is not ``path`` itself."""
+    reason = exc.strerror or str(exc)
+    if exc.filename is not None and os.fspath(exc.filename) != os.fspath(path):
+        return f"{os.fspath(exc.filename)}: {reason}"
+    return reason
 
 
 def load_tensor(path) -> np.ndarray:

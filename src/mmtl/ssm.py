@@ -27,6 +27,7 @@ scaled to unit norm, which reduces to row and column sums:
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 
@@ -68,11 +69,15 @@ def compute_gate(A: Tensor, B: Tensor, C: Tensor, D: Tensor) -> Tensor:
     return record("ssm_gate", (A, B, C, D), out, back)
 
 
+@functools.lru_cache(maxsize=16)
 def _lags(frames: int) -> np.ndarray:
-    """lags[k, t, s] = [t - s == k]: maps a kernel over lags to the causal [t, s]
-    convolution matrix and, the other way, sums a [t, s] matrix along diagonals."""
+    """Read-only lags[k, t, s] = [t - s == k]: maps a kernel over lags to the
+    causal [t, s] convolution matrix and, the other way, sums a [t, s] matrix
+    along diagonals."""
     k = np.arange(frames)
-    return (k[:, None, None] == k[None, :, None] - k[None, None, :]).astype(np.float64)
+    lags = (k[:, None, None] == k[None, :, None] - k[None, None, :]).astype(np.float64)
+    lags.flags.writeable = False
+    return lags
 
 
 def _accumulate_rows(t: Tensor, g: np.ndarray) -> None:

@@ -2,8 +2,10 @@
 
 import pytest
 
+import mmtl.cli
 from mmtl.cli import main
 from mmtl.data import load_sample_dir
+from mmtl.errors import InputError
 from mmtl.config import ModelConfig, load_config
 from mmtl.model import Model
 
@@ -28,9 +30,11 @@ def toy_config(tmp_path):
 
 
 def _assert_write_error(capsys, code, path):
+    """Check the exit code and the one-line write error; return stdout."""
     assert code == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith(f"error: cannot write {path}") and "Traceback" not in err
+    return out
 
 
 class TestParams:
@@ -61,6 +65,14 @@ class TestParams:
         out_path = tmp_path / name
         code = main(["params", "--config", toy_config, "--out", str(out_path)])
         _assert_write_error(capsys, code, out_path)
+
+    def test_write_error_names_the_file_in_the_way(self, toy_config, tmp_path, capsys):
+        blocker = tmp_path / "out"
+        blocker.write_text("x\n")
+        out_path = blocker / "params.txt"
+        assert main(["params", "--config", toy_config, "--out", str(out_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out_path}: {blocker}: File exists\n"
 
     def test_bad_config_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -259,9 +271,41 @@ class TestTrainToy:
     def test_unwritable_weights_directory_exits_1(self, toy_config, tmp_path, capsys):
         wdir = tmp_path / "weights"
         wdir.write_text("x\n")
-        code = main(["train-toy", "--config", toy_config, "--steps", "2", "--batch", "2",
+        code = main(["train-toy", "--config", toy_config, "--steps", "60", "--batch", "2",
                      "--train-count", "4", "--val-count", "2", "--dump-weights", str(wdir)])
-        _assert_write_error(capsys, code, wdir)
+        out = _assert_write_error(capsys, code, wdir)
+        assert " -> " not in out        # failed before training, not after 60 steps
+
+
+OUT_COMMANDS = pytest.mark.parametrize("command,work", [
+    (["bench", "--duration", "0.1"], "bench_fps"),
+    (["gradcheck", "--module", "tensor-core"], "gradcheck_run"),
+    (["ablate", "--variants", "full", "--steps", "1"], "run_ablation"),
+], ids=["bench", "gradcheck", "ablate"])
+
+
+@OUT_COMMANDS
+def test_unwritable_out_fails_before_the_work(toy_config, tmp_path, capsys, monkeypatch,
+                                              command, work):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{work} ran before --out was checked")
+
+    monkeypatch.setattr(mmtl.cli, work, never)
+    code = main(command[:1] + ["--config", toy_config, "--out", str(tmp_path)] + command[1:])
+    _assert_write_error(capsys, code, tmp_path)
+
+
+@OUT_COMMANDS
+def test_failed_work_keeps_an_earlier_out(toy_config, tmp_path, monkeypatch, command, work):
+    def fail(*args, **kwargs):
+        raise InputError("cannot read weights: No such file or directory")
+
+    out_path = tmp_path / "earlier.txt"
+    out_path.write_text("an earlier run\n")
+    monkeypatch.setattr(mmtl.cli, work, fail)
+    assert main(command[:1] + ["--config", toy_config, "--out", str(out_path)]
+                + command[1:]) == 1
+    assert out_path.read_text() == "an earlier run\n"
 
 
 class TestAblateCli:

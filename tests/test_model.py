@@ -4,8 +4,12 @@ variants, weight round-trip, and benchmark/training plumbing.
 
 import multiprocessing
 import os
+import platform
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -510,6 +514,47 @@ class TestTrainingLoop:
         with Tape():
             loss, _ = batch_loss(model, [s])
         assert not np.isfinite(loss.item())
+
+
+# Fresh interpreter: 3 warm-up SGD steps at the benchmark's toy config and batch
+# 8, then the minor page faults of each of 5 more steps, one count a line.
+FAULT_PROBE = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from mmtl.config import ModelConfig
+from mmtl.data import SyntheticRecipe, generate_synthetic
+from mmtl.model import Model
+from mmtl.optim import OptimizerState, sgd_step
+from mmtl.tensor import Tape, backward
+from mmtl.train import batch_loss
+cfg = ModelConfig(frame_count=8, channels=96, height=4, width=4, view_height=16,
+                  view_width=16, state_dim=8, block_depth=1, seed=7, base_lr=0.08)
+model = Model(cfg)
+batch = list(generate_synthetic(SyntheticRecipe(noise=0.05), 8, 0, cfg))
+opt = OptimizerState(base_lr=cfg.base_lr)
+for step in range(8):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    model.zero_grad()
+    with Tape() as tape:
+        loss, _ = batch_loss(model, batch, train=True)
+    backward(tape, loss)
+    sgd_step(opt, model.parameters())
+    if step >= 3:
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap thresholds are set only under glibc")
+def test_training_steps_reuse_freed_heap():
+    """A step's arrays come from heap the last step freed, not from fresh pages
+    (about 3,700 page faults a step when glibc trims the heap after each one)."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", FAULT_PROBE, str(src)], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    faults = [int(line) for line in done.stdout.split()]
+    assert len(faults) == 5 and max(faults) < 500, faults
 
 
 class TestBench:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmtl.errors import DimensionError
-from mmtl.ssm import ScanDirection, compute_gate, scan
+from mmtl.ssm import ScanDirection, _lags, compute_gate, scan
 from mmtl.tensor import Tape, Tensor, add, backward, mul, param, tsum
 
 import oracles
@@ -84,6 +84,14 @@ class TestComputeGate:
 
 
 class TestScan:
+    @pytest.mark.parametrize("frames", [1, 4, 8])
+    def test_lags_cached_read_only_and_one_hot_by_lag(self, frames):
+        lags = _lags(frames)
+        assert lags is _lags(frames) and not lags.flags.writeable
+        # np.eye(n, k=-k)[t, s] is 1 exactly where t - s == k
+        want = np.stack([np.eye(frames, k=-k) for k in range(frames)])
+        npt.assert_array_equal(lags, want)
+
     def test_rows_add_to_a_read_only_gradient(self):
         # the gate is recorded after the scan, so its backward runs first and
         # hands A a read-only broadcast view; the scan's row gradients, for 3
