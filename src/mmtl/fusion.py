@@ -1,10 +1,19 @@
 """Gated multimodal fusion: shared self-attention over the concatenated
-modality features, then one sigmoid gate stack per task that reweights each
-modality before summation.
+modality features, then one sigmoid gate stack for all tasks that reweights
+each modality before summation.
 
     S      = attention(softmax(Q K^T / sqrt(d)) V)  from Concat(H1, H2, H3)
-    gate_i = sigmoid(BN(Conv(S)))_i                 three maps per task
-    F_r    = sum_i H_i (x) gate_i
+    G      = sigmoid(BN(Conv(S)))                   three maps per task
+    F_r    = H1 (x) G_r0 + H2 (x) G_r1 + H3 (x) G_r2
+
+For R gate units (one per task, or one shared by all) the stack is one
+depthwise conv with multiplier 3R, one batch norm and one sigmoid: channel
+c*3R + 3r + i is unit r's gate for modality i on channel c, and ``gated_sum``
+makes every F_r at once. Parameters (``gate{r}_w``, ``_b``, ``_bn_scale``,
+``_bn_shift``, channel c*3 + i) and running statistics (``bn_stats[r]``) stay
+per task, as the paper's one gating module per task, so checkpoints and code
+that reads a task's gates by name keep working; each forward interleaves them
+into the stack's order, which batch norm, being per channel, does not notice.
 
 A plain concatenation + 1x1 conv fallback stands in when gating is ablated.
 """
@@ -20,8 +29,8 @@ import numpy as np
 from .config import TASKS
 from .errors import ArgumentError, DimensionError
 from .ops import RunningStats, batchnorm, convolve, depthwise_conv2d, sigmoid, softmax
-from .tensor import Tensor, add, concat, glorot, matmul, mul, narrow, param, \
-    reshape, scale, transpose
+from .tensor import Tensor, accumulate, add, concat, glorot, matmul, narrow, param, \
+    record, reshape, scale, transpose
 
 NUM_MODALITIES = 3
 NUM_TASKS = len(TASKS)
@@ -120,45 +129,83 @@ def mean_fallback(m: ModalityFeatures) -> Tensor:
     return scale(add(add(m.h1, m.h2), m.h3), 1.0 / NUM_MODALITIES)
 
 
-def task_gates(s: Tensor, p: GateParams, r: int, train: bool = True) -> List[Tensor]:
-    """The three modality gate maps for task r, each [N, C, H, W], values in (0, 1)."""
-    if not 0 <= r < p.num_gates:
-        raise ArgumentError(f"task index {r} out of range for {p.num_gates} gate units")
-    n, c, h, w = s.shape
-    pre = depthwise_conv2d(s, p.gate_w[r], p.gate_b[r], padding=1)   # [N, 3C] c-major
-    pre = batchnorm(pre, p.bn_scale[r], p.bn_shift[r], p.bn_stats[r], train=train)
-    g = sigmoid(pre)
-    g = reshape(g, (n, c, 3, h, w))
-    return [reshape(narrow(g, 2, i, 1), (n, c, h, w)) for i in range(NUM_MODALITIES)]
+def _interleave(vectors: List[Tensor], channels: int) -> Tensor:
+    """Per-unit [3C] vectors as one [3RC] in the stack's order."""
+    return reshape(concat([reshape(v, (channels, 1, 3)) for v in vectors], axis=1), (-1,))
 
 
-def _gated_sum(m: ModalityFeatures, gates: List[Tensor]) -> Tensor:
-    return add(add(mul(m.h1, gates[0]), mul(m.h2, gates[1])), mul(m.h3, gates[2]))
+class _StackedStats:
+    """The units' RunningStats as the stack's one, in the stack's order."""
+
+    def __init__(self, stats: List[RunningStats], channels: int):
+        self.stats, self.layout = stats, (channels, len(stats), 3)
+
+    def _join(self, name: str) -> np.ndarray:
+        c, _, k = self.layout
+        return np.stack([getattr(s, name).reshape(c, k) for s in self.stats], axis=1).ravel()
+
+    mean = property(lambda self: self._join("mean"))
+    var = property(lambda self: self._join("var"))
+
+    def update(self, mean: np.ndarray, var: np.ndarray, momentum: float) -> None:
+        mean, var = mean.reshape(self.layout), var.reshape(self.layout)
+        for r, stats in enumerate(self.stats):
+            stats.update(mean[:, r].ravel(), var[:, r].ravel(), momentum)
+
+
+def task_gates(s: Tensor, p: GateParams, train: bool = True) -> Tensor:
+    """The gate stack [N, 3RC, H, W], values in (0, 1); in train mode each
+    unit's ``bn_stats`` takes its channels' update."""
+    c = s.shape[1]
+    pre = depthwise_conv2d(s, concat(p.gate_w, axis=1), _interleave(p.gate_b, c), padding=1)
+    pre = batchnorm(pre, _interleave(p.bn_scale, c), _interleave(p.bn_shift, c),
+                    _StackedStats(p.bn_stats, c), train=train)
+    return sigmoid(pre)
+
+
+def gated_sum(m: ModalityFeatures, g: Tensor) -> Tensor:
+    """Every unit's F_r = H1 g_r0 + H2 g_r1 + H3 g_r2, added in that order, from
+    a gate stack g: [N, R, C, H, W]."""
+    hs = m.as_list()
+    n, c, h, w = m.h1.shape
+    if g.ndim != 4 or (g.shape[0], *g.shape[2:]) != (n, h, w) or g.shape[1] % (3 * c):
+        raise DimensionError(f"gated_sum: gates {g.shape} vs modalities {m.h1.shape}")
+    units = g.shape[1] // (3 * c)
+    gates = g.data.reshape(n, c, units, 3, h, w).transpose(3, 0, 2, 1, 4, 5)  # [3, N, R, C, H, W]
+    y = sum(x.data[:, None] * gi for x, gi in zip(hs, gates))
+
+    def back(grad):
+        dg = np.empty((n, c, units, 3, h, w))
+        for x, dgi, gi in zip(hs, dg.transpose(3, 0, 2, 1, 4, 5), gates):
+            np.multiply(grad, x.data[:, None], out=dgi)
+            accumulate(x, (grad * gi).sum(axis=1))
+        accumulate(g, dg.reshape(g.shape))
+
+    return record("gated_sum", (*hs, g), Tensor(y), back)
 
 
 def task_fuse(m: ModalityFeatures, s: Tensor, p: GateParams, r: int,
               train: bool = True) -> Tensor:
-    """Gate-weighted sum of the modality features for task r."""
-    return _gated_sum(m, task_gates(s, p, r, train=train))
+    """Gate-weighted sum of the modality features for task r, out of the whole stack."""
+    if not 0 <= r < p.num_gates:
+        raise ArgumentError(f"task index {r} out of range for {p.num_gates} gate units")
+    return reshape(narrow(gated_sum(m, task_gates(s, p, train=train)), 1, r, 1), s.shape)
 
 
 def fuse_all(m: ModalityFeatures, p: GateParams, train: bool = True,
              num_tasks: int = NUM_TASKS) -> Tuple[List[Tensor], np.ndarray]:
     """All task features plus each sample's mean-gate telemetry matrix,
-    [N, tasks, modalities]."""
+    [N, tasks, modalities]; tasks past the last gate unit share its output."""
     s = shared_attention(m, p) if p.wq is not None else mean_fallback(m)
-    feats, maps = [], []
-    for r in range(num_tasks):
-        # a single gate unit serves every task: run it (and update its batch
-        # norm's running statistics) once, and share the fused feature
-        if r < p.num_gates:
-            gates = task_gates(s, p, r, train=train)
-            fused = _gated_sum(m, gates)
-        feats.append(fused)
-        maps.append([g.data for g in gates])
-    n = s.shape[0]
-    telemetry = np.array(maps).reshape(num_tasks, NUM_MODALITIES, n, -1).mean(axis=3)
-    return feats, telemetry.transpose(2, 0, 1)
+    gates = task_gates(s, p, train=train)
+    fused = gated_sum(m, gates)
+    units = [min(r, p.num_gates - 1) for r in range(num_tasks)]
+    feats = [reshape(narrow(fused, 1, r, 1), s.shape) for r in range(units[-1] + 1)]
+    n, c = s.shape[:2]
+    # a copy [R, 3, N, C*H*W]: each map's mean adds its values in (c, h, w) order
+    maps = gates.data.reshape(n, c, p.num_gates, 3, -1).transpose(2, 3, 0, 1, 4)
+    telemetry = np.ascontiguousarray(maps).reshape(p.num_gates, 3, n, -1).mean(axis=3)
+    return [feats[u] for u in units], telemetry[units].transpose(2, 0, 1)
 
 
 @dataclass

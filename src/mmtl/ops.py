@@ -402,29 +402,32 @@ def batchnorm(x: Tensor, scale: Tensor, shift: Tensor, stats: RunningStats,
     bshape = (1, c) + (1,) * len(red)
     m = x.size // (n * c)
 
-    if train:
-        mean = x.data.mean(axis=red, keepdims=True)
-        var = x.data.var(axis=red, keepdims=True)
+    if train:   # np.mean's and np.var's arithmetic, with the centred array made once
+        mean = x.data.sum(axis=red, keepdims=True) / m
+        xhat = x.data - mean
+        var = (xhat * xhat).sum(axis=red, keepdims=True) / m
         for mu, v in zip(mean.reshape(n, c), var.reshape(n, c)):
             stats.update(mu, v, 0.1)
     else:
-        mean, var = stats.mean.reshape(bshape), stats.var.reshape(bshape)
+        xhat = x.data - stats.mean.reshape(bshape)
+        var = stats.var.reshape(bshape)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv_std
+    xhat *= inv_std
     out = Tensor(xhat * scale.data.reshape(bshape) + shift.data.reshape(bshape))
 
     def back(g):
-        accumulate(shift, g.sum(axis=(0,) + red))
-        accumulate(scale, (g * xhat).sum(axis=(0,) + red))
+        gsum = g.sum(axis=red, keepdims=True)
+        gxhat = (g * xhat).sum(axis=red, keepdims=True)
+        accumulate(shift, gsum.sum(axis=0).reshape(c))
+        accumulate(scale, gxhat.sum(axis=0).reshape(c))
         if x.requires_grad:
-            dxhat = g * scale.data.reshape(bshape)
-            if train:
-                s1 = dxhat.sum(axis=red, keepdims=True)
-                s2 = (dxhat * xhat).sum(axis=red, keepdims=True)
-                dx = (dxhat - s1 / m - xhat * s2 / m) * inv_std
-            else:
-                dx = dxhat * inv_std
-            accumulate(x, dx)
+            dx = g
+            if train:   # g less its mean and xhat times the mean of g * xhat, per sample
+                dx = xhat * gxhat
+                dx += gsum
+                dx *= -1.0 / m
+                dx += g
+            accumulate(x, dx * (scale.data.reshape(bshape) * inv_std))
 
     return record("batchnorm", (x, scale, shift), out, back)
 

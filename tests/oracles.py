@@ -350,15 +350,25 @@ def attention_ref(h1, h2, h3, p):
     return (attn @ v).reshape(c, h, w)
 
 
-def task_fuse_ref(h1, h2, h3, s, p, r):
-    """Straight-line per-task gated fusion (train-mode batchnorm)."""
-    c, h, w = s.shape
+def task_gates_ref(s, p, r, running=None):
+    """Straight-line gate maps [3C, H, W] of task r, channel c*3 + i, from its
+    own parameters: batch norm by s's own statistics (train mode), or by
+    ``running`` = (mean, var) (eval mode)."""
     pre = depthwise2d_loops(s, p.gate_w[r].data, p.gate_b[r].data, pad=1)  # [3C]
-    mean = pre.mean(axis=(1, 2))
-    var = pre.var(axis=(1, 2))
+    if running is None:
+        mean, var = pre.mean(axis=(1, 2)), pre.var(axis=(1, 2))
+    else:
+        mean, var = running
     xhat = (pre - mean[:, None, None]) / np.sqrt(var[:, None, None] + 1e-5)
     pre = xhat * p.bn_scale[r].data[:, None, None] + p.bn_shift[r].data[:, None, None]
-    g = sigmoid_ref(pre)
+    return sigmoid_ref(pre)
+
+
+def task_fuse_ref(h1, h2, h3, s, p, r, running=None):
+    """Straight-line per-task gated fusion (train-mode batchnorm unless
+    ``running`` statistics are given)."""
+    c = s.shape[0]
+    g = task_gates_ref(s, p, r, running)
     feats = [h1, h2, h3]
     out = np.zeros_like(h1)
     for i in range(3):

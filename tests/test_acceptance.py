@@ -131,9 +131,12 @@ def test_criterion_4_structural_identities():
         g = compute_gate(*sp).data
         gates_ok &= bool(np.all((g > 0) & (g < 1)))
         s = Tensor(r2.normal(size=(2, c, 3, 3)))
+        # channel c*3R + 3r + i of the stack is task r's gate for modality i
+        stack = task_gates(s, gp).data.reshape(2, c, 4, 3, 3, 3)
         for r in range(4):
-            for gt in task_gates(s, gp, r):
-                gates_ok &= bool(np.all((gt.data > 0) & (gt.data < 1)))
+            for i in range(3):
+                gt = stack[:, :, r, i]
+                gates_ok &= bool(np.all((gt > 0) & (gt < 1)))
 
     ok = a_ok and b_ok and c_ok and gates_ok
     assert report("criterion 4 structural identities", ok,

@@ -8,9 +8,9 @@ import pytest
 
 from mmtl.errors import ArgumentError, DimensionError
 from mmtl.fusion import ModalityFeatures, concat_fuse, \
-    fuse_all, init_concat_fuse, init_gate_params, mean_fallback, shared_attention, \
+    fuse_all, gated_sum, init_concat_fuse, init_gate_params, mean_fallback, shared_attention, \
     task_fuse, task_gates
-from mmtl.ops import softmax
+from mmtl.ops import RunningStats, softmax
 from mmtl.tensor import Tensor, mul, param, tsum
 
 import oracles
@@ -27,6 +27,13 @@ def make_feats(rng, c=4, h=3, w=3, as_params=False, n=2):
 def sample(m, i):
     """The three [C, H, W] maps of sample i."""
     return m.h1.data[i], m.h2.data[i], m.h3.data[i]
+
+
+def gate_map(gates, c, r, i):
+    """Unit r's gate for modality i, [N, C, H, W], from a task_gates stack
+    whose channel c*3R + 3r + i holds it."""
+    n, _, h, w = gates.shape
+    return gates.data.reshape(n, c, -1, 3, h, w)[:, :, r, i]
 
 
 class TestSharedAttention:
@@ -107,23 +114,28 @@ class TestTaskFuse:
                              Tensor(np.zeros((2, c, 3, 3))))
         p = init_gate_params(c, rng)
         s = Tensor(rng.normal(size=(2, c, 3, 3)))
-        gates = task_gates(s, p, 0, train=True)
+        gates = task_gates(s, p, train=True)
         out = task_fuse(m, s, p, 0)
-        npt.assert_allclose(out.data, h1.data * gates[0].data, rtol=1e-12)
+        npt.assert_allclose(out.data, h1.data * gate_map(gates, c, 0, 0), rtol=1e-12)
 
     def test_gates_bounded(self):
         rng = np.random.default_rng(7)
         p = init_gate_params(4, rng)
         s = Tensor(rng.normal(scale=3, size=(2, 4, 3, 3)))
+        gates = task_gates(s, p)
+        assert gates.shape == (2, 4 * 3 * 4, 3, 3)
         for r in range(4):
-            for g in task_gates(s, p, r):
-                assert np.all(g.data > 0) and np.all(g.data < 1)
+            for i in range(3):
+                g = gate_map(gates, 4, r, i)
+                assert np.all(g > 0) and np.all(g < 1)
 
     def test_task_index_out_of_range(self):
         rng = np.random.default_rng(8)
         p = init_gate_params(4, rng)
-        with pytest.raises(ArgumentError):
-            task_gates(Tensor(np.zeros((1, 4, 3, 3))), p, 4)
+        m = make_feats(rng, n=1)
+        for r in (4, -1):
+            with pytest.raises(ArgumentError):
+                task_fuse(m, Tensor(np.zeros((1, 4, 3, 3))), p, r)
 
     def test_matches_reference(self):
         rng = np.random.default_rng(9)
@@ -187,6 +199,89 @@ class TestFuseAll:
         feats, _ = fuse_all(m, p)
         for r in range(1, 4):
             npt.assert_array_equal(feats[r].data, feats[0].data)
+
+    @pytest.mark.parametrize("num_gates", [4, 1])
+    def test_eval_mode_matches_reference(self, num_gates):
+        # every task reads its own unit's parameters and running statistics
+        rng = np.random.default_rng(17)
+        c = 3
+        m = make_feats(rng, c=c, h=2, w=3)
+        p = init_gate_params(c, rng, num_gates=num_gates)
+        for r in range(num_gates):
+            p.gate_b[r].data = rng.normal(size=3 * c)
+            p.bn_scale[r].data = rng.uniform(0.5, 2.0, size=3 * c)
+            p.bn_shift[r].data = rng.normal(size=3 * c)
+            p.bn_stats[r].mean = rng.normal(size=3 * c)
+            p.bn_stats[r].var = rng.uniform(0.2, 3.0, size=3 * c)
+        stats = [(st.mean.copy(), st.var.copy()) for st in p.bn_stats]
+        feats, tele = fuse_all(m, p, train=False)
+        assert tele.shape == (2, 4, 3)
+        for i in range(2):
+            hs = sample(m, i)
+            s = oracles.attention_ref(*hs, p)
+            for r in range(4):
+                unit = min(r, num_gates - 1)
+                g = oracles.task_gates_ref(s, p, unit, stats[unit])
+                ref = oracles.task_fuse_ref(*hs, s, p, unit, stats[unit])
+                assert np.abs(feats[r].data[i] - ref).max() < 1e-12
+                assert np.abs(tele[i, r] - g.reshape(c, 3, -1).mean(axis=(0, 2))).max() < 1e-12
+        for st, (mean, var) in zip(p.bn_stats, stats):
+            npt.assert_array_equal(st.mean, mean)
+            npt.assert_array_equal(st.var, var)
+
+    def test_train_statistics_land_in_each_task_slot(self):
+        rng = np.random.default_rng(18)
+        c, n = 3, 3
+        # integer inputs and weights on a 4x4 map keep every conv sum and
+        # per-sample statistic exact, so the program and the loops agree to the bit
+        a = rng.integers(-3, 4, size=(n, c, 4, 4)).astype(float)
+        m = ModalityFeatures(Tensor(a), Tensor(a.copy()), Tensor(a.copy()))
+        p = init_gate_params(c, rng, with_attention=False)
+        for r in range(4):
+            p.gate_w[r].data = rng.integers(-2, 3, size=(c, 3, 3, 3)).astype(float)
+            p.gate_b[r].data = rng.integers(-2, 3, size=3 * c).astype(float)
+        npt.assert_array_equal(mean_fallback(m).data, a)
+        fuse_all(m, p, train=True)
+        for r in range(4):
+            want = RunningStats(3 * c)
+            for i in range(n):
+                pre = oracles.depthwise2d_loops(a[i], p.gate_w[r].data, p.gate_b[r].data, pad=1)
+                want.update(pre.mean(axis=(1, 2)), pre.var(axis=(1, 2)), 0.1)
+            npt.assert_array_equal(p.bn_stats[r].mean, want.mean)
+            npt.assert_array_equal(p.bn_stats[r].var, want.var)
+
+
+class TestGatedSum:
+    @pytest.mark.parametrize("units", [4, 1])
+    def test_unit_sums_in_order(self, units):
+        rng = np.random.default_rng(20)
+        c = 2
+        m = make_feats(rng, c=c, h=2, w=3)
+        g = Tensor(rng.uniform(size=(2, 3 * units * c, 2, 3)))
+        out = gated_sum(m, g).data
+        assert out.shape == (2, units, c, 2, 3)
+        for r in range(units):
+            want = (m.h1.data * gate_map(g, c, r, 0) + m.h2.data * gate_map(g, c, r, 1)
+                    + m.h3.data * gate_map(g, c, r, 2))
+            npt.assert_array_equal(out[:, r], want)
+
+    @pytest.mark.parametrize("units", [4, 1])
+    def test_gradients(self, units):
+        rng = np.random.default_rng(21)
+        c = 2
+        m = make_feats(rng, c=c, h=2, w=3, as_params=True)
+        g = param(rng.uniform(0.05, 0.95, size=(2, 3 * units * c, 2, 3)))
+        probe = Tensor(rng.normal(size=(2, units, c, 2, 3)))
+        assert_gradients_close(lambda: tsum(mul(gated_sum(m, g), probe)),
+                               {"h1": m.h1, "h2": m.h2, "h3": m.h3, "g": g},
+                               max_elements=40, rng=np.random.default_rng(0))
+
+    def test_gates_must_fit_the_modalities(self):
+        rng = np.random.default_rng(22)
+        m = make_feats(rng, c=2, h=2, w=3)
+        for shape in [(2, 10, 2, 3), (1, 12, 2, 3), (2, 12, 3, 2)]:
+            with pytest.raises(DimensionError):
+                gated_sum(m, Tensor(np.zeros(shape)))
 
 
 class TestConcatFuse:

@@ -119,7 +119,7 @@ class TestConfigBounds:
 class TestOpCount:
     # tape nodes for one train-mode sample, pinned: a change that adds ops to
     # the forward pass must update these counts on purpose
-    @pytest.mark.parametrize("cfg,nodes", [(ModelConfig(), 214), (TOY, 172)],
+    @pytest.mark.parametrize("cfg,nodes", [(ModelConfig(), 185), (TOY, 143)],
                              ids=["default", "toy"])
     def test_tape_nodes_per_train_sample(self, cfg, nodes):
         model = Model(cfg)
