@@ -1,13 +1,18 @@
-"""Inference throughput measurement: warmed-up wall-clock FPS with batch
-latency percentiles.
+"""Inference throughput measurement: warmed-up FPS with batch latency
+percentiles.
+
+FPS is the uncontended rate: the batch size divided by the 10th-percentile
+batch latency. A stall only slows batches down, so a preemption, or a stretch
+in which a shared host runs the program slower, moves the p50 and p95, and
+the FPS only when it covers nine tenths of the timed window.
 
 With `threads=N > 1` the timed loop runs in N worker processes forked after
 the model is built and its weights are loaded, so every worker reads the same
 weights copy-on-write. Each worker warms up, waits on a shared barrier so the
-timed windows overlap, and times its own window; FPS is the samples summed
-over all workers divided by the longest window. Processes rather than threads
-keep the workers from convoying on the interpreter lock, so the speed-up is
-bounded by the number of cores. `threads=1` runs the same loop in-process.
+timed windows overlap, and times its own window; FPS is the sum of the
+workers' uncontended rates. Processes rather than threads keep the workers
+from convoying on the interpreter lock, so the speed-up is bounded by the
+number of cores. `threads=1` runs the same loop in-process.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ class BenchRecord:
 def bench_fps(config: ModelConfig, batch_size: int = 1, duration: float = 2.0,
               threads: int = 1, seed: int = 0,
               weights_dir: str = None) -> BenchRecord:
-    """Measure end-to-end sample throughput of the inference path, summed
+    """Measure the uncontended sample throughput of the inference path, summed
     over `threads` forked worker processes. Each timed batch is one
     `Model.forward` over `batch_size` samples."""
     if not (math.isfinite(duration) and duration > 0):
@@ -82,7 +87,8 @@ def bench_fps(config: ModelConfig, batch_size: int = 1, duration: float = 2.0,
     return BenchRecord(
         config_hash=config.hash(),
         param_count=model.param_count(),
-        fps=len(latencies) * batch_size / elapsed,
+        fps=sum(batch_size * 1e3 / float(np.percentile(batch_ms, 10))
+                for batch_ms, _ in results),
         latency_p50_ms=float(np.percentile(latencies, 50)),
         latency_p95_ms=float(np.percentile(latencies, 95)),
         threads=threads,
@@ -93,9 +99,14 @@ def bench_fps(config: ModelConfig, batch_size: int = 1, duration: float = 2.0,
 
 def _timed_loop(run_batch: Callable[[], float], duration: float,
                 barrier=None) -> Tuple[List[float], float]:
-    """Warm up, wait for the other workers if any, then time batches for
-    `duration` seconds, and at least one. Returns the latencies and the window."""
+    """Warm up for `duration` seconds and at least WARMUP_BATCHES batches (a
+    fresh process can run several times slower for most of a second), wait
+    for the other workers if any, then time batches for `duration` seconds,
+    and at least one. Returns the latencies and the window."""
+    start = time.perf_counter()
     for _ in range(WARMUP_BATCHES):
+        run_batch()
+    while time.perf_counter() - start < duration:
         run_batch()
     if barrier is not None:
         barrier.wait()

@@ -27,7 +27,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .config import TASKS
-from .errors import ArgumentError, DimensionError
+from .errors import DimensionError
 from .ops import RunningStats, batchnorm, convolve, depthwise_conv2d, sigmoid, softmax
 from .tensor import Tensor, accumulate, add, concat, glorot, matmul, narrow, param, \
     record, reshape, scale, transpose
@@ -182,14 +182,6 @@ def gated_sum(m: ModalityFeatures, g: Tensor) -> Tensor:
         accumulate(g, dg.reshape(g.shape))
 
     return record("gated_sum", (*hs, g), Tensor(y), back)
-
-
-def task_fuse(m: ModalityFeatures, s: Tensor, p: GateParams, r: int,
-              train: bool = True) -> Tensor:
-    """Gate-weighted sum of the modality features for task r, out of the whole stack."""
-    if not 0 <= r < p.num_gates:
-        raise ArgumentError(f"task index {r} out of range for {p.num_gates} gate units")
-    return reshape(narrow(gated_sum(m, task_gates(s, p, train=train)), 1, r, 1), s.shape)
 
 
 def fuse_all(m: ModalityFeatures, p: GateParams, train: bool = True,

@@ -6,7 +6,8 @@ Layout convention is batch-first, then channels: a batch of feature maps is
 follows it and treats the N samples independently, the channel maps included:
 ``linear`` and ``grouped_pointwise`` mix axis 1 and keep the trailing axes as
 they are. Convolutions use the cross-correlation convention (no kernel flip)
-and zero padding; output spatial size is floor((in + 2*pad - k)/stride) + 1.
+and zero padding, and run at stride 1 with a bias, as every convolution of
+the network does: output spatial size is in + 2*pad - k + 1.
 
 The convolutions share one grouped kernel, ``_grouped_conv``: ``convolve`` is
 its one-group case and ``depthwise_conv2d`` its one-group-per-channel case. It
@@ -15,8 +16,8 @@ contiguous copy per kernel offset, so a convolution is one matmul over all
 N x output positions. ``_unwindow`` is its adjoint for the backward pass: one
 ``np.bincount`` of the column gradients over ``_read_index``, a cached
 read-only index of the input position each column entry reads (padding reads
-go to one extra bin, which is dropped); a 1x1, stride-1, unpadded kernel
-needs no scatter, only a swap of the column gradient's first two axes.
+go to one extra bin, which is dropped); a 1x1 unpadded kernel needs no
+scatter, only a swap of the column gradient's first two axes.
 Pooling (avg_pool, adaptive_avg_pool, expand_bins) is a fixed linear map along
 each spatial axis: one averaging matrix per axis, applied axis by axis over
 all N*C rows at once, with the transposes in the backward.
@@ -26,8 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Optional
-
 import numpy as np
 from scipy.special import erf, expit
 
@@ -50,7 +49,7 @@ def _as_tuple(v, n: int) -> tuple:
 # linear
 # ---------------------------------------------------------------------------
 
-def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map over the channel axis, shared across positions: x [N, Cin, *sp],
     w [Cin, Cout] -> [N, Cout, *sp], y[n, o, ...] = sum_i w[i, o] x[n, i, ...] + b[o]."""
     if weight.ndim != 2:
@@ -58,24 +57,20 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     cin, cout = weight.shape
     if x.shape[1:2] != (cin,):
         raise DimensionError(f"linear: x {x.shape} channels != weight rows {cin}")
-    if bias is not None and bias.shape != (cout,):
+    if bias.shape != (cout,):
         raise DimensionError(f"linear: bias {bias.shape} vs out dim {cout}")
     n = x.shape[0]
     x3 = x.data.reshape(n, cin, -1)
-    y = np.matmul(weight.data.T, x3)
-    if bias is not None:
-        y = y + bias.data[:, None]
+    y = np.matmul(weight.data.T, x3) + bias.data[:, None]
     out = Tensor(y.reshape((n, cout) + x.shape[2:]))
 
     def back(g):
         g3 = g.reshape(n, cout, -1)
         accumulate(x, np.matmul(weight.data, g3).reshape(x.shape))
         accumulate(weight, np.tensordot(x3, g3, axes=([0, 2], [0, 2])))
-        if bias is not None:
-            accumulate(bias, g3.sum(axis=(0, 2)))
+        accumulate(bias, g3.sum(axis=(0, 2)))
 
-    ins = (x, weight) if bias is None else (x, weight, bias)
-    return record("linear", ins, out, back)
+    return record("linear", (x, weight, bias), out, back)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +78,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=256)
-def _window_layout(shape: tuple, kernel: tuple, stride: tuple, pad: tuple):
+def _window_layout(shape: tuple, kernel: tuple, pad: tuple):
     """For x of ``shape`` [N, C, *sp], held channels-first as [C, N, *sp]: the
     zero-padded buffer's shape, the slice of it that holds x, the output size,
     and for each kernel offset (row-major) the slice of the buffer that it
@@ -92,20 +87,19 @@ def _window_layout(shape: tuple, kernel: tuple, stride: tuple, pad: tuple):
     padded = (shape[1], shape[0]) + tuple(s + 2 * p for s, p in zip(sp, pad))
     both = (slice(None), slice(None))
     inner = both + tuple(slice(p, p + s) for p, s in zip(pad, sp))
-    out_sp = tuple((n - k) // st + 1 for n, k, st in zip(padded[2:], kernel, stride))
-    offsets = tuple(both + tuple(slice(o, o + st * (n - 1) + 1, st)
-                                 for o, st, n in zip(koff, stride, out_sp))
+    out_sp = tuple(n - k + 1 for n, k in zip(padded[2:], kernel))
+    offsets = tuple(both + tuple(slice(o, o + n) for o, n in zip(koff, out_sp))
                     for koff in np.ndindex(*kernel))
     return padded, inner, out_sp, offsets
 
 
-def _windows(x: np.ndarray, kernel, stride, pad, op: str) -> np.ndarray:
+def _windows(x: np.ndarray, kernel, pad, op: str) -> np.ndarray:
     """Im2col columns [C, k, N, *out] of x [N, C, *sp]: one copy per kernel
     offset, so each column is contiguous over the samples' output positions."""
     if any(k > s + 2 * p for s, k, p in zip(x.shape[2:], kernel, pad)):
         raise DimensionError(
             f"{op}: kernel {kernel} larger than padded input {x.shape[2:]} (pad {pad})")
-    padded, inner, out_sp, offsets = _window_layout(x.shape, kernel, stride, pad)
+    padded, inner, out_sp, offsets = _window_layout(x.shape, kernel, pad)
     xp = xt = x.swapaxes(0, 1)
     if any(pad):
         xp = np.zeros(padded)
@@ -117,11 +111,11 @@ def _windows(x: np.ndarray, kernel, stride, pad, op: str) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _read_index(shape: tuple, kernel: tuple, stride: tuple, pad: tuple) -> np.ndarray:
+def _read_index(shape: tuple, kernel: tuple, pad: tuple) -> np.ndarray:
     """Read-only intp index [C, k, N, *out] of what each im2col column entry
     of x [N, C, *sp] reads: its flat position in x, or prod(shape), one past
     the end, where it reads the zero padding."""
-    padded, inner, out_sp, offsets = _window_layout(shape, kernel, stride, pad)
+    padded, inner, out_sp, offsets = _window_layout(shape, kernel, pad)
     where = np.full(padded, math.prod(shape), dtype=np.intp)
     where[inner] = np.arange(math.prod(shape)).reshape(shape).swapaxes(0, 1)
     index = np.empty((shape[1], len(offsets), shape[0]) + out_sp, dtype=np.intp)
@@ -131,23 +125,23 @@ def _read_index(shape: tuple, kernel: tuple, stride: tuple, pad: tuple) -> np.nd
     return index
 
 
-def _unwindow(dcols: np.ndarray, x_shape, kernel, stride, pad) -> np.ndarray:
+def _unwindow(dcols: np.ndarray, x_shape, kernel, pad) -> np.ndarray:
     """Adjoint of _windows: scatter-add columns [C, k, N, *out] onto x [N, C, *sp]
     in one bincount over ``_read_index``, dropping the padding's bin. The
     bincount adds each position's entries in kernel-offset order, as one
     ``+=`` per offset would."""
-    if not any(pad) and all(k == 1 == st for k, st in zip(kernel, stride)):
+    if not any(pad) and all(k == 1 for k in kernel):
         # each column entry reads its own position: the columns are x's gradient
         return np.ascontiguousarray(
             dcols.reshape(x_shape[1::-1] + x_shape[2:]).swapaxes(0, 1))
     size = math.prod(x_shape)
-    dx = np.bincount(_read_index(x_shape, kernel, stride, pad).reshape(-1),
+    dx = np.bincount(_read_index(x_shape, kernel, pad).reshape(-1),
                      weights=dcols.reshape(-1), minlength=size + 1)
     return dx[:size].reshape(x_shape)
 
 
-def _grouped_conv(op: str, x: Tensor, w: Tensor, b: Optional[Tensor], groups: int,
-                  stride: tuple, pad: tuple) -> Tensor:
+def _grouped_conv(op: str, x: Tensor, w: Tensor, b: Tensor, groups: int,
+                  pad: tuple) -> Tensor:
     """Grouped cross-correlation, recorded as one node named ``op``: x [N, Cin, *sp]
     and w holding [G, Cout/G, Cin/G, *k] in row-major order -> [N, Cout, *out].
     Group g reads only its Cin/G input channels, the block from g*Cin/G, and
@@ -156,31 +150,26 @@ def _grouped_conv(op: str, x: Tensor, w: Tensor, b: Optional[Tensor], groups: in
     [G, Cin/G * k, N * prod(out)]."""
     n, cin = x.shape[:2]
     kernel = w.shape[2:]
-    cols = _windows(x.data, kernel, stride, pad, op)     # [Cin, k, N, *out]
+    cols = _windows(x.data, kernel, pad, op)                  # [Cin, k, N, *out]
     out_sp = cols.shape[3:]
     cols = cols.reshape(groups, cin // groups * cols.shape[1], -1)
     w3 = w.data.reshape(groups, -1, cols.shape[1])
     cout = groups * w3.shape[1]
-    y = np.matmul(w3, cols)                              # [G, Cout/G, N*out]
-    if b is not None:
-        y = y + b.data.reshape(groups, -1, 1)
+    y = np.matmul(w3, cols) + b.data.reshape(groups, -1, 1)  # [G, Cout/G, N*out]
     out = Tensor(y.reshape((cout, n) + out_sp).swapaxes(0, 1))
 
     def back(g):
         g3 = g.swapaxes(0, 1).reshape(groups, -1, cols.shape[2])
         accumulate(w, np.matmul(g3, cols.transpose(0, 2, 1)).reshape(w.shape))
-        if b is not None:
-            accumulate(b, g3.sum(axis=2).reshape(-1))
+        accumulate(b, g3.sum(axis=2).reshape(-1))
         if x.requires_grad:
             dcols = np.matmul(w3.transpose(0, 2, 1), g3).reshape((cin, -1, n) + out_sp)
-            accumulate(x, _unwindow(dcols, x.shape, kernel, stride, pad))
+            accumulate(x, _unwindow(dcols, x.shape, kernel, pad))
 
-    ins = (x, w) if b is None else (x, w, b)
-    return record(op, ins, out, back)
+    return record(op, (x, w, b), out, back)
 
 
-def convolve(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
-             stride=1, padding=0) -> Tensor:
+def convolve(x: Tensor, w: Tensor, b: Tensor, padding=0) -> Tensor:
     """N-d cross-correlation: x [N, Cin, *sp], w [Cout, Cin, *k] -> [N, Cout, *out]."""
     nd = w.ndim - 2
     if nd < 1 or x.ndim != nd + 2:
@@ -188,48 +177,42 @@ def convolve(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     if x.shape[1] != w.shape[1]:
         raise DimensionError(
             f"convolve: input channels {x.shape[1]} != kernel channels {w.shape[1]}")
-    if b is not None and b.shape != (w.shape[0],):
+    if b.shape != (w.shape[0],):
         raise DimensionError(f"convolve: bias {b.shape} vs out channels {w.shape[0]}")
-    return _grouped_conv("convolve", x, w, b, 1, _as_tuple(stride, nd), _as_tuple(padding, nd))
+    return _grouped_conv("convolve", x, w, b, 1, _as_tuple(padding, nd))
 
 
-def depthwise_conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
-                     stride=1, padding=0) -> Tensor:
+def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor, padding=0) -> Tensor:
     """Per-channel 2-d conv with channel multiplier: x [N, C, H, W],
     w [C, M, kh, kw] -> [N, C*M, H', W'] with output channel c*M+m."""
     if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[0]:
         raise DimensionError(f"depthwise_conv2d: x {x.shape} vs kernels {w.shape}")
     c, m = w.shape[:2]
-    if b is not None and b.shape != (c * m,):
+    if b.shape != (c * m,):
         raise DimensionError(f"depthwise_conv2d: bias {b.shape} vs {c * m} channels")
-    return _grouped_conv("depthwise_conv2d", x, w, b, c, _as_tuple(stride, 2),
-                         _as_tuple(padding, 2))
+    return _grouped_conv("depthwise_conv2d", x, w, b, c, _as_tuple(padding, 2))
 
 
-def grouped_pointwise(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+def grouped_pointwise(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Group-local 1x1 mixing: x [N, G*Cin, *sp], w [G, Cout, Cin] -> [N, G*Cout, *sp].
     Keeps channel groups (e.g. per-frame blocks) separate."""
     g_, cout, cin = w.shape
     if x.shape[1:2] != (g_ * cin,):
         raise DimensionError(f"grouped_pointwise: x {x.shape} vs weight {w.shape}")
+    if b.shape != (g_ * cout,):
+        raise DimensionError(f"grouped_pointwise: bias {b.shape} vs {g_ * cout}")
     n = x.shape[0]
     xg = x.data.reshape(n, g_, cin, -1)
-    y = np.matmul(w.data, xg)                            # [N, G, Cout, L]
-    if b is not None:
-        if b.shape != (g_ * cout,):
-            raise DimensionError(f"grouped_pointwise: bias {b.shape} vs {g_ * cout}")
-        y = y + b.data.reshape(g_, cout, 1)
+    y = np.matmul(w.data, xg) + b.data.reshape(g_, cout, 1)  # [N, G, Cout, L]
     out = Tensor(y.reshape((n, g_ * cout) + x.shape[2:]))
 
     def back(grad):
         g4 = grad.reshape(n, g_, cout, -1)
         accumulate(w, np.matmul(g4, xg.swapaxes(2, 3)).sum(axis=0))
-        if b is not None:
-            accumulate(b, g4.sum(axis=(0, 3)).reshape(-1))
+        accumulate(b, g4.sum(axis=(0, 3)).reshape(-1))
         accumulate(x, np.matmul(w.data.transpose(0, 2, 1), g4).reshape(x.shape))
 
-    ins = (x, w) if b is None else (x, w, b)
-    return record("grouped_pointwise", ins, out, back)
+    return record("grouped_pointwise", (x, w, b), out, back)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,12 @@ from .blocks import dual_path_block, init_block, init_stem, stem, ViewSequence, 
     EXTERIOR_VIEWS
 from .config import ModelConfig
 from .errors import ArgumentError
-from .fusion import ModalityFeatures, init_gate_params, shared_attention, task_fuse
+from .fusion import ModalityFeatures, fuse_all, init_gate_params
 from .gradcheck import check_gradients
 from .heads import init_head, head_forward, total_loss
 from .joints import JointSequence, init_joint_branch, joints_forward
 from .ssm import ScanDirection, compute_gate, init_transition, scan
-from .tensor import Tensor, add, mul, param, tsum
+from .tensor import Tensor, add, concat, mul, param, tsum
 
 MODULE_SELECTORS = ("tensor-core", "ssm", "stem", "block", "joints",
                     "fusion", "heads")
@@ -70,22 +70,20 @@ def _check_tensor_core(rng, corrupt):
 
     x = param(rng.normal(size=(n, 4, 3)))
     w = param(rng.normal(size=(4, 2)))
-    probe("matmul", lambda: ops.linear(x, w), {"x": x, "w": w})
+    b = param(rng.normal(size=(2,)))
+    probe("matmul", lambda: ops.linear(x, w, b), {"x": x, "w": w, "b": b})
 
     xc = param(rng.normal(size=(n, 2, 6, 6)))
     wc = param(rng.normal(size=(3, 2, 3, 3)))
     bc = param(rng.normal(size=(3,)))
-    probe("conv2d", lambda: ops.convolve(xc, wc, bc, stride=2, padding=1),
+    probe("conv2d", lambda: ops.convolve(xc, wc, bc, padding=1),
           {"x": xc, "w": wc, "b": bc})
 
     xd = param(rng.normal(size=(n, 3, 5, 5)))
-    wd = param(rng.normal(size=(3, 2, 3, 3)))
-    probe("depthwise", lambda: ops.depthwise_conv2d(xd, wd, padding=1), {"x": xd, "w": wd})
-
-    xs = param(rng.normal(size=(n, 5, 9, 8)))
-    ws = param(rng.normal(size=(5, 2, 3, 2)))
-    probe("depthwise_s2", lambda: ops.depthwise_conv2d(xs, ws, stride=2, padding=1),
-          {"x": xs, "w": ws})
+    wd = param(rng.normal(size=(3, 2, 3, 2)))      # a non-square kernel
+    bd = param(rng.normal(size=(6,)))
+    probe("depthwise", lambda: ops.depthwise_conv2d(xd, wd, bd, padding=1),
+          {"x": xd, "w": wd, "b": bd})
 
     xw = param(rng.normal(size=(n, 6, 3, 3)))      # the stem's frame groups, G=2
     ww = param(rng.normal(size=(2, 4, 3)))
@@ -95,12 +93,14 @@ def _check_tensor_core(rng, corrupt):
 
     x1 = param(rng.normal(size=(n, 16, 24)))       # the block's [N, L, C] layout
     w1 = param(rng.normal(size=(16, 16, 3)))
-    probe("conv1d", lambda: ops.convolve(x1, w1, padding=1), {"x": x1, "w": w1})
+    b1 = param(rng.normal(size=(16,)))
+    probe("conv1d", lambda: ops.convolve(x1, w1, b1, padding=1), {"x": x1, "w": w1, "b": b1})
 
     x3 = param(rng.normal(size=(n, 1, 16, 17, 3)))  # the joints' [N, 1, T, J, 3] volume
     w3 = param(rng.normal(size=(2, 1, 3, 3, 3)))
-    probe("conv3d_pool", lambda: ops.avg_pool(ops.convolve(x3, w3, padding=1), (2, 2, 1),
-                                              stride=(2, 2, 1)), {"x": x3, "w": w3})
+    b3 = param(rng.normal(size=(2,)))
+    probe("conv3d_pool", lambda: ops.avg_pool(ops.convolve(x3, w3, b3, padding=1), (2, 2, 1),
+                                              stride=(2, 2, 1)), {"x": x3, "w": w3, "b": b3})
 
     xp = param(rng.normal(size=(n, 2, 6, 6)))
     probe("pool", lambda: ops.adaptive_avg_pool(ops.avg_pool(xp, 3, stride=1, padding=1),
@@ -190,12 +190,12 @@ def gradcheck_run(selector: str, tolerance: float = 1e-4, seed: int = 0,
             gp = init_gate_params(6, rng)
             m = ModalityFeatures(*(param(rng.normal(size=(BATCH, 6, 3, 3)))
                                    for _ in range(3)))
-            probe = rng.normal(size=(BATCH, 6, 3, 3))
+            # each task's feature has its own weighting, so every gate unit reaches the loss
+            probe = rng.normal(size=(BATCH, 6 * gp.num_gates, 3, 3))
 
             def fusion_probe():
-                sf = shared_attention(m, gp)
-                out = task_fuse(m, sf, gp, 0, train=True)
-                return _weighted_sum(out, probe)
+                feats, _ = fuse_all(m, gp, train=True)
+                return _weighted_sum(concat(feats, axis=1), probe)
 
             errors = check_gradients(
                 fusion_probe, {"h1": m.h1, "h2": m.h2, "h3": m.h3, **gp.tensors()},

