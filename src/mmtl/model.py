@@ -3,24 +3,10 @@ joint branch, the fusion stage, and one classifier head per active task.
 
 Dropped modalities contribute an all-zero feature map and carry no
 parameters; ablation flags swap fusion and scan behavior per the config.
-
-The exterior and interior branches share nothing until fusion. When both
-are active, the process may use at least 2 CPUs and the batch's interior
-input holds at least ``_FORK_MIN_VALUES`` values, ``forward`` runs the
-interior branch on ``tensor.fork``'s worker thread while the caller runs the
-exterior one, then joins it and goes on with the joints, fusion and heads.
-The tape and every number are the same as on the sequential path. Smaller
-batches stay sequential: each op hands the interpreter lock between the two
-threads, and below that size the hand-offs cost more than the overlap gains.
-Interleaved in one process on a 2-vCPU VM, a one-sample perfbench ``TOY``
-forward (18k interior values) took 4.2-5.6 ms sequential and 6.4-7.3 ms
-threaded, and a default-config one (147k) 27-32 ms and 21-25 ms.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -38,17 +24,7 @@ from .heads import HeadParams, head_forward, init_head
 from .joints import JointBranchParams, init_joint_branch, joints_forward
 from .ops import RunningStats
 from .serial import dump_tensor, load_tensor
-from .tensor import Tensor, fork, reshape, zeros
-
-
-_FORK_MIN_VALUES = 1 << 16    # interior input values per batch, N x 3 x T x 3 x H x W
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # platforms without affinity masks
-        return os.cpu_count() or 1
+from .tensor import Tensor, reshape, zeros
 
 
 @dataclass
@@ -177,26 +153,6 @@ class Model:
                         f"forward: sample {i} ({bundle.sample_id or 'unnamed'}) has "
                         f"{name} {list(shape)}, not {list(want)} as the batch's first")
 
-    def _forks(self, batch: Sequence[SampleBundle]) -> bool:
-        """Whether ``forward`` runs the interior branch on the worker thread
-        (see the module docstring)."""
-        if self.stem_exterior is None or self.stem_interior is None:
-            return False
-        values = len(batch) * sum(v.frames.size for v in batch[0].interior)
-        return values >= _FORK_MIN_VALUES and _usable_cpus() >= 2
-
-    def _forked_branches(self, exterior: tuple, interior: tuple) -> tuple:
-        """Both image branches, the interior one on the worker thread; the
-        worker is joined before any exterior error propagates."""
-        join = fork(self._branch, *interior)
-        try:
-            h1 = self._branch(*exterior)
-        except BaseException:
-            with contextlib.suppress(Exception):    # the exterior's error wins
-                join()
-            raise
-        return h1, join()
-
     def forward(self, batch: Sequence[SampleBundle], train: bool = False) -> ForwardResult:
         """One forward pass over a batch of samples whose arrays share their
         shapes; every op carries the batch on axis 0."""
@@ -204,13 +160,16 @@ class Model:
         cfg = self.config
         shape = (len(batch), cfg.channels, cfg.height, cfg.width)
 
-        exterior = ([b.exterior for b in batch], self.stem_exterior, self.blocks_exterior)
-        interior = ([b.interior for b in batch], self.stem_interior, self.blocks_interior)
-        if self._forks(batch):
-            h1, h2 = self._forked_branches(exterior, interior)
+        if self.stem_exterior is not None:
+            h1 = self._branch([b.exterior for b in batch], self.stem_exterior,
+                              self.blocks_exterior)
         else:
-            h1 = self._branch(*exterior) if self.stem_exterior is not None else zeros(shape)
-            h2 = self._branch(*interior) if self.stem_interior is not None else zeros(shape)
+            h1 = zeros(shape)
+        if self.stem_interior is not None:
+            h2 = self._branch([b.interior for b in batch], self.stem_interior,
+                              self.blocks_interior)
+        else:
+            h2 = zeros(shape)
         if self.joint_branch is not None:
             h3 = joints_forward([b.joints for b in batch], self.joint_branch, train=train)
         else:

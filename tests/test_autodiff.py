@@ -8,10 +8,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mmtl import ops, tensor
-from mmtl.errors import ArgumentError, DimensionError, TapeError
+from mmtl import ops
+from mmtl.errors import ArgumentError, TapeError
 from mmtl.gradcheck import check_gradients
-from mmtl.tensor import Tape, Tensor, add, backward, concat, fork, matmul, mul, \
+from mmtl.tensor import Tape, Tensor, add, backward, concat, matmul, mul, \
     narrow, param, scale, scale_by, scale_channels, \
     take_channels, tile_spatial, transpose, tsum
 
@@ -83,36 +83,6 @@ class TestBackwardBasics:
         assert other["outside"].requires_grad is False
         assert other["inner_ops"] == ["mul"]
         assert other["inside"].requires_grad is True
-
-    def test_fork_appends_worker_nodes_at_join(self):
-        x = param(np.array([1.0, 2.0]))
-        with Tape() as tape:
-            join = fork(mul, x, x)
-            y = add(x, x)
-            z = join()
-            loss = tsum(add(y, z))
-        assert [n.op for n in tape.nodes] == ["add", "mul", "add", "sum"]
-        backward(tape, loss)
-        npt.assert_array_equal(x.grad, [4.0, 6.0])
-
-    def test_fork_without_tape_records_nothing(self):
-        x = param(np.ones(2))
-        assert fork(mul, x, x)().requires_grad is False
-
-    def test_fork_join_reraises_worker_error(self):
-        with Tape() as tape:
-            join = fork(add, param(np.ones(2)), param(np.ones(3)))
-            with pytest.raises(DimensionError, match="add"):
-                join()
-        assert len(tape) == 0
-
-    def test_fork_remakes_worker_in_new_process(self, monkeypatch):
-        fork(tsum, Tensor(np.ones(2)))()
-        inherited = tensor._WORKER
-        monkeypatch.setattr(tensor, "_WORKER_PID", -1)   # as a forked child sees it
-        assert fork(tsum, Tensor(np.ones(2)))().item() == 2.0
-        assert tensor._WORKER is not inherited
-        inherited.shutdown()
 
     def test_no_recording_without_tape(self):
         x = param(np.ones(2))

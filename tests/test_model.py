@@ -7,7 +7,6 @@ import os
 import platform
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -16,7 +15,6 @@ import numpy.testing as npt
 import pytest
 
 import mmtl.fusion
-import mmtl.model
 import mmtl.ops
 import mmtl.ssm
 from mmtl import tensor
@@ -93,6 +91,20 @@ class TestForward:
         [s] = toy_samples(1, cfg=cfg)
         out = model.forward_sample(s)
         assert out.telemetry is None
+
+    def test_eval_forward_records_nothing(self, monkeypatch):
+        branches = []
+        branch = Model._branch
+
+        def kept(self, *args):
+            branches.append(branch(self, *args))
+            return branches[-1]
+
+        monkeypatch.setattr(Model, "_branch", kept)
+        out = Model(TOY).forward(toy_samples(2))
+        assert len(branches) == 2
+        assert not any(h.requires_grad for h in branches)
+        assert not any(lg.requires_grad for lg in out.logits.values())
 
 
 class TestConfigBounds:
@@ -225,57 +237,13 @@ class TestBatchedForward:
         with pytest.raises(InputError):
             Model(TOY).forward([])
 
-
-@pytest.fixture
-def forking(monkeypatch):
-    """Every batch forks its interior branch, as on two CPUs; the forks made."""
-    monkeypatch.setattr(mmtl.model, "_FORK_MIN_VALUES", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    forks = []
-
-    def counted(*args):
-        forks.append(args)
-        return tensor.fork(*args)
-
-    monkeypatch.setattr(mmtl.model, "fork", counted)
-    return forks
-
-
-class TestInteriorFork:
-    """The interior branch on the worker thread against the sequential path;
-    the size threshold is patched so the toy batches fork."""
-
-    @staticmethod
-    def train_step(model, samples):
-        """Each node's op and parameter inputs by name, the loss and the gradients."""
-        names = {id(p): name for name, p in model.parameters().items()}
-        with Tape() as tape:
-            loss, _ = batch_loss(model, samples, train=True)
-        ops = [(node.op, [names.get(id(t)) for t in node.inputs]) for node in tape.nodes]
-        backward(tape, loss)
-        return ops, loss.data, {name: p.grad for name, p in model.parameters().items()}
-
-    def test_train_step_matches_sequential(self, forking, monkeypatch):
-        samples = toy_samples(8, seed=6)
-        threaded = self.train_step(with_random_heads(Model(TOY)), samples)
-        assert len(forking) == 1
-        monkeypatch.setattr(mmtl.model, "_FORK_MIN_VALUES", 1 << 62)
-        sequential = self.train_step(with_random_heads(Model(TOY)), samples)
-        assert len(forking) == 1
-        assert threaded[0] == sequential[0]
-        assert np.array_equal(threaded[1], sequential[1])
-        for name, grad in sequential[2].items():
-            assert np.array_equal(threaded[2][name], grad), name
-
-    def test_missing_interior_view_named(self, forking):
+    def test_missing_interior_view_named(self):
         samples = toy_samples(2)
         samples[1].interior = [v for v in samples[1].interior if v.view_id != "face"]
         with pytest.raises(InputError, match="face"):
             Model(TOY).forward(samples)
-        assert len(forking) == 1
 
-    def test_exterior_failure_leaves_next_forward_intact(self, forking):
+    def test_exterior_failure_leaves_next_forward_intact(self):
         model, samples = Model(TOY), toy_samples(2)
         before = model.forward(samples).logits
         broken = toy_samples(2)
@@ -283,43 +251,8 @@ class TestInteriorFork:
         with pytest.raises(InputError, match="missing view"):
             model.forward(broken)
         after = model.forward(samples).logits
-        assert len(forking) == 3
         for task, lg in before.items():
             assert np.array_equal(after[task].data, lg.data)
-
-    def test_one_cpu_stays_sequential(self, forking, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        Model(TOY).forward(toy_samples(2))
-        assert forking == []
-
-    def test_eval_forward_records_nothing(self, forking, monkeypatch):
-        branches = []
-        branch = Model._branch
-
-        def kept(self, *args):
-            branches.append(branch(self, *args))
-            return branches[-1]
-
-        monkeypatch.setattr(Model, "_branch", kept)
-        out = Model(TOY).forward(toy_samples(2))
-        assert len(forking) == 1 and len(branches) == 2
-        assert not any(h.requires_grad for h in branches)
-        assert not any(lg.requires_grad for lg in out.logits.values())
-
-    @needs_fork
-    def test_bench_workers_after_threaded_forward(self, forking):
-        # each bench worker process forks its forwards too, and must make its
-        # own worker thread: the parent's does not run in the child
-        Model(TOY).forward(toy_samples(4))
-        assert len(forking) == 1
-        records = []
-        bench = threading.Thread(daemon=True, target=lambda: records.append(
-            bench_fps(TOY, batch_size=4, duration=0.3, threads=2)))
-        bench.start()
-        bench.join(timeout=60.0)
-        assert not bench.is_alive(), "bench workers hung"
-        assert records[0].fps > 0
 
 
 class TestGradientsReadOnly:
@@ -351,12 +284,8 @@ class TestGradientsReadOnly:
             sgd_step(state, model.parameters())
         return loss.data.item()
 
-    @pytest.mark.parametrize("forks", [False, True])
-    def test_toy_steps(self, forking, monkeypatch, forks):
-        if not forks:
-            monkeypatch.setattr(mmtl.model, "_FORK_MIN_VALUES", 1 << 62)
+    def test_toy_steps(self):
         assert np.isfinite(self.sgd_steps(TOY, 8, 2))
-        assert len(forking) == (2 if forks else 0)
 
     def test_default_config_step(self):
         assert np.isfinite(self.sgd_steps(ModelConfig(), 1, 1))
@@ -600,6 +529,34 @@ def test_training_steps_reuse_freed_heap():
                           capture_output=True, text=True, timeout=300, check=True)
     faults = [int(line) for line in done.stdout.split()]
     assert len(faults) == 5 and max(faults) < 500, faults
+
+
+# Fresh interpreter: one default-config eval forward of one sample and one toy
+# train step of 8 with backward, then the number of live threads.
+THREAD_PROBE = f"""
+import threading
+from mmtl.config import ModelConfig
+from mmtl.data import SyntheticRecipe, generate_synthetic
+from mmtl.model import Model
+from mmtl.tensor import Tape, backward
+from mmtl.train import batch_loss
+cfg = ModelConfig()
+Model(cfg).forward(list(generate_synthetic(SyntheticRecipe(), 1, 0, cfg)))
+cfg = {TOY!r}
+with Tape() as tape:
+    loss, _ = batch_loss(Model(cfg), list(generate_synthetic(SyntheticRecipe(), 8, 0, cfg)),
+                         train=True)
+backward(tape, loss)
+print(threading.active_count(), [t.name for t in threading.enumerate()])
+"""
+
+
+def test_forward_starts_no_thread():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", THREAD_PROBE],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=300, check=True)
+    assert done.stdout.split()[0] == "1", done.stdout
 
 
 class TestBench:
