@@ -15,7 +15,10 @@ per task, as the paper's one gating module per task, so checkpoints and code
 that reads a task's gates by name keep working; each forward interleaves them
 into the stack's order, which batch norm, being per channel, does not notice.
 
-A plain concatenation + 1x1 conv fallback stands in when gating is ablated.
+Features leave ``fuse_all`` pooled: each head averages its F_r over the grid,
+so one pool over ``gated_sum``'s output, the only place the F_r maps exist,
+gives every task's [N, C] feature. A concatenation + 1x1 conv fallback stands
+in when gating is ablated.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ import numpy as np
 
 from .config import TASKS
 from .errors import DimensionError
-from .ops import RunningStats, batchnorm, convolve, depthwise_conv2d, sigmoid, softmax
+from .ops import RunningStats, adaptive_avg_pool, batchnorm, convolve, depthwise_conv2d, \
+    sigmoid, softmax
 from .tensor import Tensor, accumulate, add, concat, glorot, matmul, narrow, param, \
     record, reshape, scale, transpose
 
@@ -131,7 +135,8 @@ def mean_fallback(m: ModalityFeatures) -> Tensor:
 
 def _interleave(vectors: List[Tensor], channels: int) -> Tensor:
     """Per-unit [3C] vectors as one [3RC] in the stack's order."""
-    return reshape(concat([reshape(v, (channels, 1, 3)) for v in vectors], axis=1), (-1,))
+    stacked = reshape(concat(vectors), (len(vectors), channels, 3))
+    return reshape(transpose(stacked, (1, 0, 2)), (-1,))
 
 
 class _StackedStats:
@@ -186,14 +191,15 @@ def gated_sum(m: ModalityFeatures, g: Tensor) -> Tensor:
 
 def fuse_all(m: ModalityFeatures, p: GateParams, train: bool = True,
              num_tasks: int = NUM_TASKS) -> Tuple[List[Tensor], np.ndarray]:
-    """All task features plus each sample's mean-gate telemetry matrix,
+    """Every task's pooled feature [N, C] plus each sample's mean-gate telemetry,
     [N, tasks, modalities]; tasks past the last gate unit share its output."""
     s = shared_attention(m, p) if p.wq is not None else mean_fallback(m)
     gates = task_gates(s, p, train=train)
-    fused = gated_sum(m, gates)
+    n, c, h, w = s.shape
+    fused = reshape(gated_sum(m, gates), (n, p.num_gates * c, h, w))
+    pooled = reshape(adaptive_avg_pool(fused, (1, 1)), (n, p.num_gates * c))
     units = [min(r, p.num_gates - 1) for r in range(num_tasks)]
-    feats = [reshape(narrow(fused, 1, r, 1), s.shape) for r in range(units[-1] + 1)]
-    n, c = s.shape[:2]
+    feats = [narrow(pooled, 1, r * c, c) for r in range(units[-1] + 1)]
     # a copy [R, 3, N, C*H*W]: each map's mean adds its values in (c, h, w) order
     maps = gates.data.reshape(n, c, p.num_gates, 3, -1).transpose(2, 3, 0, 1, 4)
     telemetry = np.ascontiguousarray(maps).reshape(p.num_gates, 3, n, -1).mean(axis=3)

@@ -1,5 +1,6 @@
-"""Per-task classification heads, the summed cross-entropy training loss,
-and accuracy metrics with their serialization format.
+"""Per-task classification heads (linear maps of the pooled [N, C] features
+that ``fusion.fuse_all`` returns), the summed cross-entropy training loss, and
+accuracy metrics with their serialization format.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ import numpy as np
 
 from .config import TASKS
 from .errors import ArgumentError, InputError
-from .ops import adaptive_avg_pool, cross_entropy, linear
-from .tensor import Tensor, add, param, reshape
+from .ops import cross_entropy, linear
+from .tensor import Tensor, add, param
 
 
 @dataclass
@@ -31,11 +32,8 @@ def init_head(channels: int, num_classes: int) -> HeadParams:
 
 
 def head_forward(feature: Tensor, p: HeadParams) -> Tensor:
-    """Global average pool over the spatial grid, then a linear classifier:
-    [N, C, H, W] -> logits [N, K]."""
-    n, c = feature.shape[:2]
-    pooled = reshape(adaptive_avg_pool(feature, (1, 1)), (n, c))
-    return linear(pooled, p.weight, p.bias)
+    """Linear classifier on a pooled feature: [N, C] -> logits [N, K]."""
+    return linear(feature, p.weight, p.bias)
 
 
 def total_loss(logits: Sequence[Tensor], labels: Sequence[Sequence[int]],

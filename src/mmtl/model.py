@@ -22,7 +22,7 @@ from .fusion import ConcatFuseParams, GateParams, ModalityFeatures, concat_fuse,
     fuse_all, init_concat_fuse, init_gate_params
 from .heads import HeadParams, head_forward, init_head
 from .joints import JointBranchParams, init_joint_branch, joints_forward
-from .ops import RunningStats
+from .ops import RunningStats, adaptive_avg_pool
 from .serial import dump_tensor, load_tensor
 from .tensor import Tensor, reshape, zeros
 
@@ -179,7 +179,7 @@ class Model:
         telemetry = None
         if self.concat_params is not None:
             fused = concat_fuse(m, self.concat_params)
-            feats = [fused] * len(self.heads)
+            feats = [reshape(adaptive_avg_pool(fused, (1, 1)), shape[:2])] * len(self.heads)
         else:
             feats, telemetry = fuse_all(m, self.gate_params, train=train,
                                         num_tasks=len(self.heads))

@@ -111,7 +111,11 @@ def parse_tensor(path, raw: bytes) -> np.ndarray:
     rank = raw[4]
     header_end = 5 + 4 * rank
     dims = struct.unpack(f"<{rank}I", raw[5:header_end])
-    return _payload(path, raw, header_end, math.prod(dims)).reshape(dims)
+    values = _payload(path, raw, header_end, math.prod(dims))
+    try:
+        return values.reshape(dims)
+    except ValueError:  # numpy caps the rank: 32 axes before numpy 2, 64 since
+        raise InputError(f"{path}: rank {rank} is more than numpy's arrays hold") from None
 
 
 def dump_joints(joints: np.ndarray, path) -> None:

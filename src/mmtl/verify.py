@@ -191,26 +191,17 @@ def gradcheck_run(selector: str, tolerance: float = 1e-4, seed: int = 0,
             m = ModalityFeatures(*(param(rng.normal(size=(BATCH, 6, 3, 3)))
                                    for _ in range(3)))
             # each task's feature has its own weighting, so every gate unit reaches the loss
-            probe = rng.normal(size=(BATCH, 6 * gp.num_gates, 3, 3))
-
-            def fusion_probe():
-                feats, _ = fuse_all(m, gp, train=True)
-                return _weighted_sum(concat(feats, axis=1), probe)
-
+            probe = rng.normal(size=(BATCH, 6 * gp.num_gates))
             errors = check_gradients(
-                fusion_probe, {"h1": m.h1, "h2": m.h2, "h3": m.h3, **gp.tensors()},
-                **kw)
+                lambda: _weighted_sum(concat(fuse_all(m, gp)[0], axis=1), probe),
+                {"h1": m.h1, "h2": m.h2, "h3": m.h3, **gp.tensors()}, **kw)
         elif s == "heads":
             hp = init_head(6, 3)
             hp.weight.data = rng.normal(size=hp.weight.shape)
             hp.bias.data = rng.normal(size=hp.bias.shape)
-            feat = param(rng.normal(size=(BATCH, 6, 3, 3)))
-
-            def head_probe():
-                logits = head_forward(feat, hp)
-                return total_loss([logits], [[1, 2]], ["der"])
-
+            feat = param(rng.normal(size=(BATCH, 6)))
             errors = check_gradients(
-                head_probe, {"feat": feat, **hp.tensors()}, **kw)
+                lambda: total_loss([head_forward(feat, hp)], [[1, 2]], ["der"]),
+                {"feat": feat, **hp.tensors()}, **kw)
         reports.append(CheckReport(module=s, errors=errors, tolerance=tolerance))
     return reports

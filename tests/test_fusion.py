@@ -207,7 +207,9 @@ class TestFuseAll:
             p.bn_stats[r].var = rng.uniform(0.2, 3.0, size=3 * c)
         stats = [(st.mean.copy(), st.var.copy()) for st in p.bn_stats]
         feats, tele = fuse_all(m, p, train=False)
+        maps = gated_sum(m, task_gates(shared_attention(m, p), p, train=False)).data
         assert tele.shape == (2, 4, 3)
+        assert [f.shape for f in feats] == [(2, c)] * 4
         for i in range(2):
             hs = sample(m, i)
             s = oracles.attention_ref(*hs, p)
@@ -215,7 +217,8 @@ class TestFuseAll:
                 unit = min(r, num_gates - 1)
                 g = oracles.task_gates_ref(s, p, unit, stats[unit])
                 ref = oracles.task_fuse_ref(*hs, s, p, unit, stats[unit])
-                assert np.abs(feats[r].data[i] - ref).max() < 1e-12
+                assert np.abs(maps[i, unit] - ref).max() < 1e-12
+                assert np.abs(feats[r].data[i] - ref.mean(axis=(1, 2))).max() < 1e-12
                 assert np.abs(tele[i, r] - g.reshape(c, 3, -1).mean(axis=(0, 2))).max() < 1e-12
         for st, (mean, var) in zip(p.bn_stats, stats):
             npt.assert_array_equal(st.mean, mean)

@@ -21,10 +21,12 @@ rng = np.random.default_rng(0)
 
 
 class TestHeadForward:
+    # heads read pooled [N, C] features; the pool in front of them is checked
+    # end to end in tests/test_model.py (TestForward::test_logits_pool_each_task_map)
     def test_zero_weights_give_bias(self):
         p = init_head(6, 3)
         p.bias.data = np.array([0.5, -1.0, 2.0])
-        feat = Tensor(rng.normal(size=(2, 6, 2, 2)))
+        feat = Tensor(rng.normal(size=(2, 6)))
         npt.assert_allclose(head_forward(feat, p).data, [[0.5, -1.0, 2.0]] * 2)
 
     def test_constant_feature(self):
@@ -32,23 +34,23 @@ class TestHeadForward:
         p = init_head(4, 2)
         p.weight.data = rng.normal(size=(4, 2))
         p.bias.data = np.array([0.1, 0.2])
-        feat = Tensor(np.full((1, 4, 3, 3), c))
+        feat = Tensor(np.full((1, 4), c))
         expect = [c * p.weight.data.sum(axis=0) + p.bias.data]
         npt.assert_allclose(head_forward(feat, p).data, expect, rtol=1e-12)
 
-    def test_matches_direct_pool_then_linear(self):
+    def test_matches_direct_linear(self):
         p = init_head(5, 3)
         p.weight.data = rng.normal(size=(5, 3))
         p.bias.data = rng.normal(size=3)
-        feat = rng.normal(size=(2, 5, 4, 4))
-        expect = feat.mean(axis=(2, 3)) @ p.weight.data + p.bias.data
+        feat = rng.normal(size=(2, 5))
+        expect = feat @ p.weight.data + p.bias.data
         assert np.abs(head_forward(Tensor(feat), p).data - expect).max() < 1e-12
 
     def test_gradients(self):
         p = init_head(4, 3)
         p.weight.data = rng.normal(size=(4, 3))
         p.bias.data = rng.normal(size=3)
-        feat = param(rng.normal(size=(2, 4, 2, 2)))
+        feat = param(rng.normal(size=(2, 4)))
         assert_gradients_close(
             lambda: total_loss([head_forward(feat, p)], [[2, 0]], ["der"]),
             {"feat": feat, **p.tensors()})

@@ -15,6 +15,7 @@ import numpy.testing as npt
 import pytest
 
 import mmtl.fusion
+import mmtl.model
 import mmtl.ops
 import mmtl.ssm
 from mmtl import tensor
@@ -92,6 +93,28 @@ class TestForward:
         out = model.forward_sample(s)
         assert out.telemetry is None
 
+    @pytest.mark.parametrize("flag", ["full", "no_multi_gating", "no_mgmi"])
+    def test_logits_pool_each_task_map(self, flag, monkeypatch):
+        # a task's logits are its head's linear map of its fused map averaged over
+        # the grid: gated_sum's F_r, or the one concat_fuse map that every task shares
+        module, name = (mmtl.model, "concat_fuse") if flag == "no_mgmi" \
+            else (mmtl.fusion, "gated_sum")
+        maps, fuse = [], getattr(module, name)
+
+        def kept(*args):
+            maps.append(fuse(*args))
+            return maps[-1]
+
+        monkeypatch.setattr(module, name, kept)
+        cfg = ablation_config(flag)
+        model = with_random_heads(Model(cfg))
+        out = model.forward(toy_samples(2, cfg=cfg), train=False)
+        [fused] = [f.data for f in maps]
+        for r, (task, head) in enumerate(model.heads.items()):
+            f = fused if flag == "no_mgmi" else fused[:, min(r, fused.shape[1] - 1)]
+            want = f.mean(axis=(2, 3)) @ head.weight.data + head.bias.data
+            assert np.abs(out.logits[task].data - want).max() < 1e-12
+
     def test_eval_forward_records_nothing(self, monkeypatch):
         branches = []
         branch = Model._branch
@@ -134,8 +157,12 @@ class TestConfigBounds:
 class TestOpCount:
     # tape nodes for one train-mode sample, pinned: a change that adds ops to
     # the forward pass must update these counts on purpose
-    @pytest.mark.parametrize("cfg,nodes", [(ModelConfig(), 185), (TOY, 143)],
-                             ids=["default", "toy"])
+    @pytest.mark.parametrize("cfg,nodes", [
+        (ModelConfig(), 170), (TOY, 128), (TOY.replace(no_mgmi=True), 95),
+        (TOY.replace(no_dual_scan=True), 128), (TOY.replace(no_global_local=True), 126),
+        (TOY.replace(no_self_attention=True), 118), (TOY.replace(no_multi_gating=True), 125),
+    ], ids=["default", "toy", "toy_no_mgmi", "toy_no_dual_scan", "toy_no_global_local",
+            "toy_no_self_attention", "toy_no_multi_gating"])
     def test_tape_nodes_per_train_sample(self, cfg, nodes):
         model = Model(cfg)
         with Tape() as tape:
