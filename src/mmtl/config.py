@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import dataclasses
 import math
+import re
 from dataclasses import dataclass, fields
 from typing import Tuple
 
@@ -129,16 +130,17 @@ def _coerce(name: str, kind, raw: str):
         if raw.lower() not in _BOOL_VALUES:
             raise ConfigError(f"{name}: expected a boolean, got '{raw}'")
         return _BOOL_VALUES[raw.lower()]
-    if kind is int:
+    if kind is int:     # Python's int() also takes 1_6, +16 and non-ASCII digits
+        if not re.fullmatch(r"-?[0-9]+", raw):
+            raise ConfigError(f"{name}: expected an integer, got '{raw}'")
+        return int(raw)
+    if kind is float:   # and float() takes 1_0e-3 and non-ASCII digits
         try:
-            return int(raw)
+            if raw.isascii() and "_" not in raw:
+                return float(raw)
         except ValueError:
-            raise ConfigError(f"{name}: expected an integer, got '{raw}'") from None
-    if kind is float:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{name}: expected a number, got '{raw}'") from None
+            pass
+        raise ConfigError(f"{name}: expected a number, got '{raw}'")
     # tuple of strings
     return tuple(s.strip() for s in raw.split(",") if s.strip())
 

@@ -2,8 +2,9 @@
 sample layout.
 
 A synthetic sample hides one low-frequency pattern per (task, class) inside
-that task's designated modality, so a nearest-template classifier - and a
-trained network - can recover every label from the right modality alone.
+that task's designated modality (``DESIGNATED``), so a nearest-template
+classifier - and a trained network - can recover every label from the right
+modality alone.
 Every recipe also plants ``ECHO``: a weaker copy of the der pattern, keyed to
 the true label, in the interior views, at 0.3 of the recipe's amplitude.
 
@@ -30,11 +31,11 @@ malformed: an entry that is not a directory, a view directory that is missing
 or has no frames, a frame or joints path that is a directory, a bad tensor or
 joints header, a truncated payload, a frame that is not [3, H, W] or not the
 shape of its view's first frame, or a boxes or labels file that is not the
-expected ASCII integers (boxes inside the frame and non-empty, labels within
-their task's classes), a view or joints file holding a NaN or infinite value,
-or a view or joints file whose frame count, or a joints file whose joint
-count, is not the config's: the model batches samples, so each must have the
-config's shapes.
+expected integers, each an optional ``-`` and ASCII digits (boxes inside the
+frame and non-empty, labels within their task's classes), a view or joints
+file holding a NaN or infinite value, or a view or joints file whose frame
+count, or a joints file whose joint count, is not the config's: the model
+batches samples, so each must have the config's shapes.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ import hashlib
 import logging
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Sequence, Tuple
@@ -61,6 +63,8 @@ log = logging.getLogger(__name__)
 
 STORED_VIEWS = ("front", "left", "right", "inside")
 
+# the modality that carries each task's signal
+DESIGNATED = {"der": "joints", "dbr": "interior", "tcr": "exterior", "vbr": "exterior"}
 # a weaker true-label copy of a task's pattern that every recipe plants in a
 # second modality: (modality, fraction of the recipe's amplitude)
 ECHO = {"der": ("interior", 0.3)}
@@ -88,15 +92,14 @@ class SampleBundle:
 
 @dataclass
 class SyntheticRecipe:
-    """Which modality carries each task's signal, and how strongly.
+    """How strongly each task's signal is planted in its ``DESIGNATED``
+    modality.
 
     ``distractors`` plants a task's patterns keyed to a random label in a
     wrong modality: a negative-transfer trap that per-task gating can shut
     off but a task-agnostic fusion cannot.
     """
 
-    designated: Dict[str, str] = field(default_factory=lambda: {
-        "der": "joints", "dbr": "interior", "tcr": "exterior", "vbr": "exterior"})
     amplitude: float = 0.15
     distractors: Dict[str, Tuple[str, float]] = field(default_factory=dict)
     noise: float = 0.0
@@ -104,15 +107,8 @@ class SyntheticRecipe:
     def __post_init__(self):
         if not (math.isfinite(self.noise) and self.noise >= 0):
             raise ArgumentError(f"noise: must be finite and non-negative, got {self.noise}")
-        for task, mod in self.designated.items():
-            if task not in TASKS or mod not in MODALITIES:
-                raise ArgumentError(f"recipe: bad designation {task} -> {mod}")
-        if set(self.designated) != set(TASKS):
-            raise ArgumentError("recipe: every task needs a designated modality")
-        if set(self.designated.values()) != set(MODALITIES):
-            raise ArgumentError("recipe: designations must cover all three modalities")
         for task, (mod, _) in self.distractors.items():
-            if self.designated.get(task) == mod:
+            if DESIGNATED.get(task) == mod:
                 raise ArgumentError(
                     f"recipe: distractor for {task} clashes with its signal modality")
 
@@ -250,7 +246,7 @@ def _modality_contributions(recipe: SyntheticRecipe, mod: str):
     """(task, amplitude, tied) terms in a modality; tied=False means the term
     is keyed by its own free label (a distractor)."""
     out = [(task, recipe.amplitude, True)
-           for task in TASKS if recipe.designated[task] == mod]
+           for task in TASKS if DESIGNATED[task] == mod]
     for task, (emod, frac) in ECHO.items():
         if emod == mod:
             out.append((task, recipe.amplitude * frac, True))
@@ -307,18 +303,13 @@ def _read_view(vdir: str) -> np.ndarray:
 
 
 def _read_ints(raw: bytes, count: int, what: str) -> Tuple[int, ...]:
-    """Exactly ``count`` whitespace-separated integers, else InputError.
-
-    ``int`` parses bytes as ASCII, so text in any other encoding fails here.
-    """
-    try:
-        values = tuple(int(v) for v in raw.split())
-    except ValueError:
-        values = ()
-    if len(values) != count:
+    """Exactly ``count`` whitespace-separated integers, each an optional ``-``
+    and ASCII digits, else InputError."""
+    values = raw.split()
+    if len(values) != count or not all(re.fullmatch(rb"-?[0-9]+", v) for v in values):
         raise InputError(f"{what} needs {count} integers, got "
                          f"{raw.strip().decode(errors='replace')!r}")
-    return values
+    return tuple(int(v) for v in values)
 
 
 def _load_one_sample(base: str, cfg: ModelConfig) -> SampleBundle:

@@ -9,11 +9,12 @@ each modality before summation.
 For R gate units (one per task, or one shared by all) the stack is one
 depthwise conv with multiplier 3R, one batch norm and one sigmoid: channel
 c*3R + 3r + i is unit r's gate for modality i on channel c, and ``gated_sum``
-makes every F_r at once. Parameters (``gate{r}_w``, ``_b``, ``_bn_scale``,
-``_bn_shift``, channel c*3 + i) and running statistics (``bn_stats[r]``) stay
-per task, as the paper's one gating module per task, so checkpoints and code
-that reads a task's gates by name keep working; each forward interleaves them
-into the stack's order, which batch norm, being per channel, does not notice.
+makes every F_r at once. Parameters (``gate{r}_w`` [C, 3, 3, 3] and the
+vectors ``_b``, ``_bn_scale``, ``_bn_shift`` [C, 3], channel by modality) and
+running statistics (``bn_stats[r]``, also [C, 3]) stay per task, as the
+paper's one gating module per task, so checkpoints and code that reads a
+task's gates by name keep working. Joined on axis 1, the units' arrays are
+[C, 3R] and, flattened, already in the stack's order.
 
 Features leave ``fuse_all`` pooled: each head averages its F_r over the grid,
 so one pool over ``gated_sum``'s output, the only place the F_r maps exist,
@@ -68,14 +69,14 @@ class GateParams:
     wv: Tensor
     bv: Tensor
     gate_w: List[Tensor]            # per task [C, 3, 3, 3] depthwise, 3 maps/channel
-    gate_b: List[Tensor]            # per task [3C]
-    bn_scale: List[Tensor]          # per task [3C]
+    gate_b: List[Tensor]            # per task [C, 3], channel by modality, as are
+    bn_scale: List[Tensor]          # these three and each running mean and variance
     bn_shift: List[Tensor]
     bn_stats: List[RunningStats] = field(repr=False, default=None)  # type: ignore
 
     def __post_init__(self):
         if self.bn_stats is None:
-            self.bn_stats = [RunningStats(s.shape[0]) for s in self.bn_scale]
+            self.bn_stats = [RunningStats(s.shape) for s in self.bn_scale]
         k = len(self.gate_w)
         if not (len(self.gate_b) == len(self.bn_scale) == len(self.bn_shift) == k):
             raise DimensionError("GateParams: per-task lists have inconsistent lengths")
@@ -109,9 +110,9 @@ def init_gate_params(channels: int, rng: np.random.Generator,
     gate_w, gate_b, bn_scale, bn_shift = [], [], [], []
     for _ in range(num_gates):
         gate_w.append(param(rng.normal(0.0, 0.05, size=(channels, 3, 3, 3))))
-        gate_b.append(param(np.zeros(c3)))
-        bn_scale.append(param(np.ones(c3)))
-        bn_shift.append(param(np.zeros(c3)))
+        gate_b.append(param(np.zeros((channels, 3))))
+        bn_scale.append(param(np.ones((channels, 3))))
+        bn_shift.append(param(np.zeros((channels, 3))))
     return GateParams(wq, bq, wk, bk, wv, bv, gate_w, gate_b, bn_scale, bn_shift)
 
 
@@ -133,44 +134,32 @@ def mean_fallback(m: ModalityFeatures) -> Tensor:
     return scale(add(add(m.h1, m.h2), m.h3), 1.0 / NUM_MODALITIES)
 
 
-def _interleave(vectors: List[Tensor], channels: int) -> Tensor:
-    """Per-unit [3C] vectors as one [3RC] in the stack's order."""
-    stacked = reshape(concat(vectors), (len(vectors), channels, 3))
-    return reshape(transpose(stacked, (1, 0, 2)), (-1,))
-
-
-class _StackedStats:
-    """The units' RunningStats as the stack's one, in the stack's order."""
-
-    def __init__(self, stats: List[RunningStats], channels: int):
-        self.stats, self.layout = stats, (channels, len(stats), 3)
-
-    def _join(self, name: str) -> np.ndarray:
-        c, _, k = self.layout
-        return np.stack([getattr(s, name).reshape(c, k) for s in self.stats], axis=1).ravel()
-
-    mean = property(lambda self: self._join("mean"))
-    var = property(lambda self: self._join("var"))
-
-    def update(self, mean: np.ndarray, var: np.ndarray, momentum: float) -> None:
-        mean, var = mean.reshape(self.layout), var.reshape(self.layout)
-        for r, stats in enumerate(self.stats):
-            stats.update(mean[:, r].ravel(), var[:, r].ravel(), momentum)
+def _stacked(units: List[Tensor]) -> Tensor:
+    """The units' [C, 3] vectors as the stack's one [3RC]."""
+    return reshape(concat(units, axis=1), (-1,))
 
 
 def task_gates(s: Tensor, p: GateParams, train: bool = True) -> Tensor:
     """The gate stack [N, 3RC, H, W], values in (0, 1); in train mode each
     unit's ``bn_stats`` takes its channels' update."""
     c = s.shape[1]
-    pre = depthwise_conv2d(s, concat(p.gate_w, axis=1), _interleave(p.gate_b, c), padding=1)
-    pre = batchnorm(pre, _interleave(p.bn_scale, c), _interleave(p.bn_shift, c),
-                    _StackedStats(p.bn_stats, c), train=train)
+    stats = RunningStats(0)     # the units' statistics, joined as their vectors are
+    stats.mean = np.concatenate([u.mean for u in p.bn_stats], axis=1).ravel()
+    stats.var = np.concatenate([u.var for u in p.bn_stats], axis=1).ravel()
+    pre = depthwise_conv2d(s, concat(p.gate_w, axis=1), _stacked(p.gate_b), padding=1)
+    pre = batchnorm(pre, _stacked(p.bn_scale), _stacked(p.bn_shift), stats, train=train)
+    if train:
+        means = np.split(stats.mean.reshape(c, -1), p.num_gates, axis=1)
+        variances = np.split(stats.var.reshape(c, -1), p.num_gates, axis=1)
+        for unit, mean, var in zip(p.bn_stats, means, variances):
+            unit.mean, unit.var = mean, var
     return sigmoid(pre)
 
 
 def gated_sum(m: ModalityFeatures, g: Tensor) -> Tensor:
-    """Every unit's F_r = H1 g_r0 + H2 g_r1 + H3 g_r2, added in that order, from
-    a gate stack g: [N, R, C, H, W]."""
+    """Every unit's F_r = H1 g_r0 + H2 g_r1 + H3 g_r2, added in that order, as
+    one [N, R*C, H, W] map (F_r on channels r*C to r*C + C - 1), from a gate
+    stack g: [N, 3RC, H, W] as ``task_gates`` makes it."""
     hs = m.as_list()
     n, c, h, w = m.h1.shape
     if g.ndim != 4 or (g.shape[0], *g.shape[2:]) != (n, h, w) or g.shape[1] % (3 * c):
@@ -180,13 +169,14 @@ def gated_sum(m: ModalityFeatures, g: Tensor) -> Tensor:
     y = sum(x.data[:, None] * gi for x, gi in zip(hs, gates))
 
     def back(grad):
+        grad = grad.reshape(n, units, c, h, w)
         dg = np.empty((n, c, units, 3, h, w))
         for x, dgi, gi in zip(hs, dg.transpose(3, 0, 2, 1, 4, 5), gates):
             np.multiply(grad, x.data[:, None], out=dgi)
             accumulate(x, (grad * gi).sum(axis=1))
         accumulate(g, dg.reshape(g.shape))
 
-    return record("gated_sum", (*hs, g), Tensor(y), back)
+    return record("gated_sum", (*hs, g), Tensor(y.reshape(n, units * c, h, w)), back)
 
 
 def fuse_all(m: ModalityFeatures, p: GateParams, train: bool = True,
@@ -195,9 +185,8 @@ def fuse_all(m: ModalityFeatures, p: GateParams, train: bool = True,
     [N, tasks, modalities]; tasks past the last gate unit share its output."""
     s = shared_attention(m, p) if p.wq is not None else mean_fallback(m)
     gates = task_gates(s, p, train=train)
-    n, c, h, w = s.shape
-    fused = reshape(gated_sum(m, gates), (n, p.num_gates * c, h, w))
-    pooled = reshape(adaptive_avg_pool(fused, (1, 1)), (n, p.num_gates * c))
+    n, c = s.shape[:2]
+    pooled = reshape(adaptive_avg_pool(gated_sum(m, gates), (1, 1)), (n, p.num_gates * c))
     units = [min(r, p.num_gates - 1) for r in range(num_tasks)]
     feats = [narrow(pooled, 1, r * c, c) for r in range(units[-1] + 1)]
     # a copy [R, 3, N, C*H*W]: each map's mean adds its values in (c, h, w) order

@@ -224,9 +224,11 @@ class Model:
         d = Path(directory)
         loaded = {}
         for name, data in self._checkpoint().items():
-            loaded[name] = load_tensor(d / (name + ".t3tn"))
+            path = d / (name + ".t3tn")
+            loaded[name] = load_tensor(path)
             if loaded[name].shape != data.shape:
-                raise InputError(f"{name}: stored shape {loaded[name].shape} != {data.shape}")
+                raise InputError(f"{path}: stored shape {loaded[name].shape}, "
+                                 f"the model's {data.shape}")
         for name, p in self._params.items():
             p.data = loaded[name]
         for name, stats in self._running_stats().items():

@@ -351,11 +351,13 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 # ---------------------------------------------------------------------------
 
 class RunningStats:
-    """Non-learnable running mean/variance for one batchnorm site."""
+    """Non-learnable running mean/variance for one batchnorm site.
+    ``batchnorm`` takes them flat, one value per channel; each gate unit keeps
+    its own as [C, 3] (see ``fusion.task_gates``)."""
 
-    def __init__(self, channels: int):
-        self.mean = np.zeros(channels)
-        self.var = np.ones(channels)
+    def __init__(self, shape: int | tuple):
+        self.mean = np.zeros(shape)
+        self.var = np.ones(shape)
 
     def update(self, mean: np.ndarray, var: np.ndarray, momentum: float) -> None:
         self.mean = (1.0 - momentum) * self.mean + momentum * mean

@@ -351,16 +351,18 @@ def attention_ref(h1, h2, h3, p):
 
 
 def task_gates_ref(s, p, r, running=None):
-    """Straight-line gate maps [3C, H, W] of task r, channel c*3 + i, from its
-    own parameters: batch norm by s's own statistics (train mode), or by
-    ``running`` = (mean, var) (eval mode)."""
-    pre = depthwise2d_loops(s, p.gate_w[r].data, p.gate_b[r].data, pad=1)  # [3C]
+    """Straight-line gate maps [C, 3, H, W] of task r (channel, modality), from
+    its own [C, 3] vectors: batch norm by s's own statistics (train mode), or by
+    ``running`` = (mean, var), each [C, 3] (eval mode)."""
+    c, h, w = s.shape
+    pre = depthwise2d_loops(s, p.gate_w[r].data, pad=1).reshape(c, 3, h, w) \
+        + p.gate_b[r].data[:, :, None, None]
     if running is None:
-        mean, var = pre.mean(axis=(1, 2)), pre.var(axis=(1, 2))
+        mean, var = pre.mean(axis=(2, 3)), pre.var(axis=(2, 3))
     else:
         mean, var = running
-    xhat = (pre - mean[:, None, None]) / np.sqrt(var[:, None, None] + 1e-5)
-    pre = xhat * p.bn_scale[r].data[:, None, None] + p.bn_shift[r].data[:, None, None]
+    xhat = (pre - mean[:, :, None, None]) / np.sqrt(var[:, :, None, None] + 1e-5)
+    pre = xhat * p.bn_scale[r].data[:, :, None, None] + p.bn_shift[r].data[:, :, None, None]
     return sigmoid_ref(pre)
 
 
@@ -373,5 +375,5 @@ def task_fuse_ref(h1, h2, h3, s, p, r, running=None):
     out = np.zeros_like(h1)
     for i in range(3):
         for ci in range(c):
-            out[ci] += feats[i][ci] * g[ci * 3 + i]
+            out[ci] += feats[i][ci] * g[ci, i]
     return out

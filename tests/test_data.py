@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mmtl.config import ModelConfig, parse_config
-from mmtl.data import SampleBundle, SyntheticRecipe, _modality_contributions, \
+from mmtl.data import DESIGNATED, SampleBundle, SyntheticRecipe, _modality_contributions, \
     crop_resize, default_boxes, generate_synthetic, joint_pattern, load_sample_dir, \
     split_sizes, stable_id_hash, view_pattern, write_sample_dir
 from mmtl.errors import ArgumentError, ConfigError, InputError
@@ -87,7 +87,7 @@ def template_predict(bundle: SampleBundle, recipe: SyntheticRecipe, task: str,
     the tasks sharing that modality, compared by cosine similarity: exact at
     zero noise because the true field is among the candidates.
     """
-    mod = recipe.designated[task]
+    mod = DESIGNATED[task]
     contribs = _modality_contributions(recipe, mod)
 
     if mod == "joints":
@@ -162,10 +162,9 @@ class TestGenerator:
         with pytest.raises(ArgumentError):
             next(generate_synthetic(SyntheticRecipe(), 0, 0, TOY))
 
-    def test_recipe_must_cover_modalities(self):
-        with pytest.raises(ArgumentError):
-            SyntheticRecipe(designated={"der": "joints", "dbr": "joints",
-                                        "tcr": "joints", "vbr": "joints"})
+    def test_distractor_in_signal_modality_rejected(self):
+        with pytest.raises(ArgumentError, match="der"):
+            SyntheticRecipe(distractors={"der": (DESIGNATED["der"], 1.0)})
 
 
 class TestConfig:
@@ -195,6 +194,14 @@ class TestConfig:
     def test_type_mismatch_rejected(self):
         with pytest.raises(ConfigError, match="frame_count"):
             parse_config("frame_count=abc\n")
+
+    # Python's int() and float() also read these; a config holds plain decimals
+    @pytest.mark.parametrize("line", ["frame_count=1_6", "frame_count=\u0661\u0666",
+                                      "frame_count=+16", "base_lr=1_0e-3",
+                                      "base_lr=\uff11.0"])
+    def test_number_that_is_not_ascii_decimal_rejected(self, line):
+        with pytest.raises(ConfigError, match=line.partition("=")[0]):
+            parse_config(line + "\n")
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# comment\n\nseed=9   # trailing\n")
@@ -394,6 +401,17 @@ class TestSampleDir:
         streams = load_sample_dir(tmp_path, config=TOY)
         assert streams.skipped == 1
         assert len(streams.train) + len(streams.val) + len(streams.test) == 2
+
+    @pytest.mark.parametrize("text", ["1_0 0 0 0\n", "+1 0 0 0\n"])
+    def test_label_that_is_not_ascii_decimal_skipped(self, tmp_path, caplog, text):
+        # Python's int() reads both, as 10 and 1
+        bundles = list(generate_synthetic(SyntheticRecipe(noise=0.1), 3, 16, TOY))
+        for b in bundles:
+            write_sample_dir(b, tmp_path)
+        (tmp_path / bundles[1].sample_id / "labels.txt").write_text(text)
+        streams = load_sample_dir(tmp_path, config=TOY)
+        assert streams.skipped == 1
+        assert "labels.txt needs 4 integers" in caplog.text
 
     @pytest.mark.parametrize("fault", sorted(FRAME_FAULTS))
     def test_malformed_frame_file_skipped(self, tmp_path, fault):

@@ -36,6 +36,11 @@ def gate_map(gates, c, r, i):
     return gates.data.reshape(n, c, -1, 3, h, w)[:, :, r, i]
 
 
+def unit_map(fused, c, r):
+    """Unit r's F_r [N, C, H, W] from gated_sum's [N, R*C, H, W] output."""
+    return fused.data[:, r * c:(r + 1) * c]
+
+
 class TestSharedAttention:
     def test_zero_query_gives_row_mean_of_values(self):
         rng = np.random.default_rng(0)
@@ -102,7 +107,7 @@ class TestTaskFuse:
         p.gate_b[r].data = np.zeros_like(p.gate_b[r].data)
         p.bn_shift[r].data = np.zeros_like(p.bn_shift[r].data)
         s = Tensor(rng.normal(size=(2, c, 3, 3)))
-        out = gated_sum(m, task_gates(s, p)).data[:, r]
+        out = unit_map(gated_sum(m, task_gates(s, p)), c, r)
         expect = 0.5 * (m.h1.data + m.h2.data + m.h3.data)
         npt.assert_allclose(out, expect, rtol=1e-12)
 
@@ -115,7 +120,7 @@ class TestTaskFuse:
         p = init_gate_params(c, rng)
         s = Tensor(rng.normal(size=(2, c, 3, 3)))
         gates = task_gates(s, p, train=True)
-        out = gated_sum(m, gates).data[:, 0]
+        out = unit_map(gated_sum(m, gates), c, 0)
         npt.assert_allclose(out, h1.data * gate_map(gates, c, 0, 0), rtol=1e-12)
 
     def test_gates_bounded(self):
@@ -134,17 +139,17 @@ class TestTaskFuse:
         m = make_feats(rng, c=3, h=2, w=2)
         p = init_gate_params(3, rng)
         s = rng.normal(size=(2, 3, 2, 2))
-        fused = gated_sum(m, task_gates(Tensor(s), p, train=True)).data
+        fused = gated_sum(m, task_gates(Tensor(s), p, train=True))
         for r in range(4):
             ref = np.stack([oracles.task_fuse_ref(*sample(m, i), s[i], p, r)
                             for i in range(2)])
-            assert np.abs(fused[:, r] - ref).max() < 1e-10
+            assert np.abs(unit_map(fused, 3, r) - ref).max() < 1e-10
 
     def test_gradients(self):
         rng = np.random.default_rng(10)
         m = make_feats(rng, c=3, h=2, w=2, as_params=True)
         p = init_gate_params(3, rng)
-        probe = Tensor(rng.normal(size=(2, 4, 3, 2, 2)))   # one weighting per unit
+        probe = Tensor(rng.normal(size=(2, 4 * 3, 2, 2)))   # one weighting per unit
 
         def f():
             s = shared_attention(m, p)
@@ -200,14 +205,14 @@ class TestFuseAll:
         m = make_feats(rng, c=c, h=2, w=3)
         p = init_gate_params(c, rng, num_gates=num_gates)
         for r in range(num_gates):
-            p.gate_b[r].data = rng.normal(size=3 * c)
-            p.bn_scale[r].data = rng.uniform(0.5, 2.0, size=3 * c)
-            p.bn_shift[r].data = rng.normal(size=3 * c)
-            p.bn_stats[r].mean = rng.normal(size=3 * c)
-            p.bn_stats[r].var = rng.uniform(0.2, 3.0, size=3 * c)
+            p.gate_b[r].data = rng.normal(size=(c, 3))
+            p.bn_scale[r].data = rng.uniform(0.5, 2.0, size=(c, 3))
+            p.bn_shift[r].data = rng.normal(size=(c, 3))
+            p.bn_stats[r].mean = rng.normal(size=(c, 3))
+            p.bn_stats[r].var = rng.uniform(0.2, 3.0, size=(c, 3))
         stats = [(st.mean.copy(), st.var.copy()) for st in p.bn_stats]
         feats, tele = fuse_all(m, p, train=False)
-        maps = gated_sum(m, task_gates(shared_attention(m, p), p, train=False)).data
+        maps = gated_sum(m, task_gates(shared_attention(m, p), p, train=False))
         assert tele.shape == (2, 4, 3)
         assert [f.shape for f in feats] == [(2, c)] * 4
         for i in range(2):
@@ -217,7 +222,7 @@ class TestFuseAll:
                 unit = min(r, num_gates - 1)
                 g = oracles.task_gates_ref(s, p, unit, stats[unit])
                 ref = oracles.task_fuse_ref(*hs, s, p, unit, stats[unit])
-                assert np.abs(maps[i, unit] - ref).max() < 1e-12
+                assert np.abs(unit_map(maps, c, unit)[i] - ref).max() < 1e-12
                 assert np.abs(feats[r].data[i] - ref.mean(axis=(1, 2))).max() < 1e-12
                 assert np.abs(tele[i, r] - g.reshape(c, 3, -1).mean(axis=(0, 2))).max() < 1e-12
         for st, (mean, var) in zip(p.bn_stats, stats):
@@ -234,14 +239,15 @@ class TestFuseAll:
         p = init_gate_params(c, rng, with_attention=False)
         for r in range(4):
             p.gate_w[r].data = rng.integers(-2, 3, size=(c, 3, 3, 3)).astype(float)
-            p.gate_b[r].data = rng.integers(-2, 3, size=3 * c).astype(float)
+            p.gate_b[r].data = rng.integers(-2, 3, size=(c, 3)).astype(float)
         npt.assert_array_equal(mean_fallback(m).data, a)
         fuse_all(m, p, train=True)
         for r in range(4):
-            want = RunningStats(3 * c)
+            want = RunningStats((c, 3))
             for i in range(n):
-                pre = oracles.depthwise2d_loops(a[i], p.gate_w[r].data, p.gate_b[r].data, pad=1)
-                want.update(pre.mean(axis=(1, 2)), pre.var(axis=(1, 2)), 0.1)
+                pre = oracles.depthwise2d_loops(a[i], p.gate_w[r].data, pad=1)
+                pre = pre.reshape(c, 3, 4, 4) + p.gate_b[r].data[:, :, None, None]
+                want.update(pre.mean(axis=(2, 3)), pre.var(axis=(2, 3)), 0.1)
             npt.assert_array_equal(p.bn_stats[r].mean, want.mean)
             npt.assert_array_equal(p.bn_stats[r].var, want.var)
 
@@ -253,12 +259,12 @@ class TestGatedSum:
         c = 2
         m = make_feats(rng, c=c, h=2, w=3)
         g = Tensor(rng.uniform(size=(2, 3 * units * c, 2, 3)))
-        out = gated_sum(m, g).data
-        assert out.shape == (2, units, c, 2, 3)
+        out = gated_sum(m, g)
+        assert out.shape == (2, units * c, 2, 3)
         for r in range(units):
             want = (m.h1.data * gate_map(g, c, r, 0) + m.h2.data * gate_map(g, c, r, 1)
                     + m.h3.data * gate_map(g, c, r, 2))
-            npt.assert_array_equal(out[:, r], want)
+            npt.assert_array_equal(unit_map(out, c, r), want)
 
     @pytest.mark.parametrize("units", [4, 1])
     def test_gradients(self, units):
@@ -266,7 +272,7 @@ class TestGatedSum:
         c = 2
         m = make_feats(rng, c=c, h=2, w=3, as_params=True)
         g = param(rng.uniform(0.05, 0.95, size=(2, 3 * units * c, 2, 3)))
-        probe = Tensor(rng.normal(size=(2, units, c, 2, 3)))
+        probe = Tensor(rng.normal(size=(2, units * c, 2, 3)))
         assert_gradients_close(lambda: tsum(mul(gated_sum(m, g), probe)),
                                {"h1": m.h1, "h2": m.h2, "h3": m.h3, "g": g},
                                max_elements=40, rng=np.random.default_rng(0))

@@ -5,6 +5,7 @@ variants, weight round-trip, and benchmark/training plumbing.
 import multiprocessing
 import os
 import platform
+import struct
 import subprocess
 import sys
 import time
@@ -13,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mmtl.fusion
 import mmtl.model
@@ -27,6 +30,7 @@ from mmtl.errors import ArgumentError, ConfigError, InputError
 from mmtl.joints import JointSequence
 from mmtl.model import Model, count_params
 from mmtl.optim import OptimizerState, sgd_step
+from mmtl.serial import dump_tensor
 from mmtl.tensor import Tape, backward, scale
 from mmtl.train import batch_loss, evaluate, run_toy_training
 
@@ -110,8 +114,10 @@ class TestForward:
         model = with_random_heads(Model(cfg))
         out = model.forward(toy_samples(2, cfg=cfg), train=False)
         [fused] = [f.data for f in maps]
+        c = cfg.channels
         for r, (task, head) in enumerate(model.heads.items()):
-            f = fused if flag == "no_mgmi" else fused[:, min(r, fused.shape[1] - 1)]
+            u = min(r, fused.shape[1] // c - 1)     # gated_sum's F_u: channels u*C to u*C + C - 1
+            f = fused if flag == "no_mgmi" else fused[:, u * c:(u + 1) * c]
             want = f.mean(axis=(2, 3)) @ head.weight.data + head.bias.data
             assert np.abs(out.logits[task].data - want).max() < 1e-12
 
@@ -158,9 +164,9 @@ class TestOpCount:
     # tape nodes for one train-mode sample, pinned: a change that adds ops to
     # the forward pass must update these counts on purpose
     @pytest.mark.parametrize("cfg,nodes", [
-        (ModelConfig(), 170), (TOY, 128), (TOY.replace(no_mgmi=True), 95),
-        (TOY.replace(no_dual_scan=True), 128), (TOY.replace(no_global_local=True), 126),
-        (TOY.replace(no_self_attention=True), 118), (TOY.replace(no_multi_gating=True), 125),
+        (ModelConfig(), 163), (TOY, 121), (TOY.replace(no_mgmi=True), 95),
+        (TOY.replace(no_dual_scan=True), 121), (TOY.replace(no_global_local=True), 119),
+        (TOY.replace(no_self_attention=True), 111), (TOY.replace(no_multi_gating=True), 118),
     ], ids=["default", "toy", "toy_no_mgmi", "toy_no_dual_scan", "toy_no_global_local",
             "toy_no_self_attention", "toy_no_multi_gating"])
     def test_tape_nodes_per_train_sample(self, cfg, nodes):
@@ -443,6 +449,94 @@ class TestWeights:
             for task, lg in want.items():
                 gap = np.abs(got[task].data - lg.data).max()
                 assert gap <= 1e-5 * (1.0 + np.abs(lg.data).max()), task
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    """A checkpoint whose running statistics have moved, and a model of
+    another seed to load it into."""
+    directory = tmp_path_factory.mktemp("checkpoint")
+    source = with_random_heads(Model(TOY))
+    batch_loss(source, toy_samples(2), train=True)
+    source.save_weights(directory)
+    return directory, Model(TOY.replace(seed=99))
+
+
+def model_state(model):
+    """Copies of every parameter and running statistic, by checkpoint name."""
+    return {name: data.copy() for name, data in model._checkpoint().items()}
+
+
+def assert_state_unchanged(model, before):
+    after = model_state(model)
+    assert after.keys() == before.keys()
+    for name, want in before.items():
+        assert after[name].shape == want.shape and np.array_equal(after[name], want), name
+
+
+@st.composite
+def damaged(draw, raw):
+    """A tensor file's bytes after one fault: bytes cut, a header byte
+    overwritten, or the header's dimensions changed; None deletes the file.
+    Payload bytes are not overwritten: the format holds no checksum, so such
+    a file loads."""
+    fault = draw(st.sampled_from(["cut", "overwrite", "dims", "delete"]))
+    rank = raw[4]
+    header_end = 5 + 4 * rank
+    if fault == "cut":
+        pos = draw(st.integers(0, len(raw) - 1))
+        return raw[:pos] + raw[pos + draw(st.integers(1, len(raw) - pos)):]
+    if fault == "overwrite":
+        pos = draw(st.integers(0, header_end - 1))
+        value = draw(st.integers(0, 255).filter(lambda v: v != raw[pos]))
+        return raw[:pos] + bytes([value]) + raw[pos + 1:]
+    if fault == "dims":
+        dims = struct.unpack(f"<{rank}I", raw[5:header_end])
+        new = draw(st.one_of(st.just(dims[::-1]), st.just(dims + (1,)),
+                             st.lists(st.integers(0, 2 * max(dims, default=1)),
+                                      max_size=4).map(tuple)).filter(lambda d: d != dims))
+        return struct.pack(f"<4sB{len(new)}I", raw[:4], len(new), *new) + raw[header_end:]
+    return None
+
+
+class TestLoadWeightsFuzz:
+    """Every file of a checkpoint, damaged one at a time: the load is an
+    InputError and leaves the model as it was."""
+
+    @given(st.data())
+    @settings(max_examples=800, deadline=None, derandomize=True)
+    def test_damaged_file_is_input_error_and_changes_nothing(self, checkpoint, data):
+        directory, model = checkpoint
+        before = model_state(model)
+        path = directory / data.draw(st.sampled_from(sorted(p.name for p in directory.iterdir())))
+        raw = path.read_bytes()
+        bad = data.draw(damaged(raw))
+        try:
+            if bad is None:
+                path.unlink()
+            else:
+                path.write_bytes(bad)
+            with pytest.raises(InputError):
+                model.load_weights(directory)
+        finally:
+            path.write_bytes(raw)
+        assert_state_unchanged(model, before)
+
+    def test_gate_vector_in_the_old_layout_is_rejected(self, checkpoint):
+        directory, model = checkpoint
+        c = TOY.channels
+        path = directory / "fusion.gate0_b.t3tn"
+        raw = path.read_bytes()
+        before = model_state(model)
+        try:
+            dump_tensor(np.zeros(3 * c), path)    # [3C], as written before the [C, 3] layout
+            with pytest.raises(InputError) as err:
+                model.load_weights(directory)
+        finally:
+            path.write_bytes(raw)
+        assert str(path) in str(err.value)
+        assert f"({3 * c},)" in str(err.value) and f"({c}, 3)" in str(err.value)
+        assert_state_unchanged(model, before)
 
 
 class TestTrainingLoop:
