@@ -71,18 +71,16 @@ class StemParams:
 
 
 def init_stem(view_ids: Sequence[str], frame_count: int, out_channels: int,
-              height: int, width: int, rng: np.random.Generator,
-              kernel_size: int = 3) -> StemParams:
+              height: int, width: int, rng: np.random.Generator) -> StemParams:
     v = len(view_ids)
     if out_channels % (v * frame_count) != 0:
         raise ConfigError(f"stem: channels {out_channels} not divisible by "
                           f"views*frames = {v * frame_count}")
     cpf = out_channels // (v * frame_count)
     tc = 3 * frame_count
-    k2 = kernel_size * kernel_size
     dw_w, dw_b, pw_w, pw_b = [], [], [], []
     for _ in view_ids:
-        dw_w.append(glorot(rng, (tc, 1, kernel_size, kernel_size), k2, k2))
+        dw_w.append(glorot(rng, (tc, 1, 3, 3), 9, 9))   # the 3x3 kernel config.validate assumes
         dw_b.append(param(np.zeros(tc)))
         pw_w.append(glorot(rng, (frame_count, cpf, 3), 3, cpf))
         pw_b.append(param(np.zeros(frame_count * cpf)))

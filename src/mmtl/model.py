@@ -1,21 +1,24 @@
-"""Full network assembly: two image branches (stem + dual-path blocks), the
+"""Full network assembly: the image branches (stem + dual-path blocks), the
 joint branch, the fusion stage, and one classifier head per active task.
 
-Dropped modalities contribute an all-zero feature map and carry no
-parameters; ablation flags swap fusion and scan behavior per the config.
+The image branches are one table keyed by modality, ``Model.branches``, and
+one code path initialises, registers, checks and runs both; their checkpoint
+names stay ``stem_<modality>`` and ``blocks_<modality>.<i>``. Dropped
+modalities contribute an all-zero feature map and carry no parameters;
+ablation flags swap fusion and scan behavior per the config.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .blocks import BlockParams, StemParams, block_stack, init_block, \
     init_stem, stem, EXTERIOR_VIEWS, INTERIOR_VIEWS
-from .config import ModelConfig
+from .config import MODALITIES, ModelConfig
 from .data import SampleBundle
 from .errors import InputError
 from .fusion import ConcatFuseParams, GateParams, ModalityFeatures, concat_fuse, \
@@ -25,6 +28,9 @@ from .joints import JointBranchParams, init_joint_branch, joints_forward
 from .ops import RunningStats, adaptive_avg_pool
 from .serial import dump_tensor, load_tensor
 from .tensor import Tensor, reshape, zeros
+
+# the views each image branch's stem reads, by modality
+BRANCH_VIEWS = {"exterior": EXTERIOR_VIEWS, "interior": INTERIOR_VIEWS}
 
 
 @dataclass
@@ -43,20 +49,12 @@ class Model:
         c, h, w = config.channels, config.height, config.width
         t, n = config.frame_count, config.state_dim
 
-        self.stem_exterior: Optional[StemParams] = None
-        self.blocks_exterior: List[BlockParams] = []
-        self.stem_interior: Optional[StemParams] = None
-        self.blocks_interior: List[BlockParams] = []
+        # image branches by modality, in MODALITIES order: (stem, dual-path blocks)
+        self.branches: Dict[str, Tuple[StemParams, List[BlockParams]]] = {
+            mod: (init_stem(BRANCH_VIEWS[mod], t, c, h, w, rng),
+                  [init_block(c, t, h, w, n, rng) for _ in range(config.block_depth)])
+            for mod in config.active_modalities if mod in BRANCH_VIEWS}
         self.joint_branch: Optional[JointBranchParams] = None
-
-        if "exterior" in config.active_modalities:
-            self.stem_exterior = init_stem(EXTERIOR_VIEWS, t, c, h, w, rng)
-            self.blocks_exterior = [init_block(c, t, h, w, n, rng)
-                                    for _ in range(config.block_depth)]
-        if "interior" in config.active_modalities:
-            self.stem_interior = init_stem(INTERIOR_VIEWS, t, c, h, w, rng)
-            self.blocks_interior = [init_block(c, t, h, w, n, rng)
-                                    for _ in range(config.block_depth)]
         if "joints" in config.active_modalities:
             self.joint_branch = init_joint_branch(config.joint_count, c, h, w, rng)
 
@@ -84,14 +82,10 @@ class Model:
             for name, tensor in tensors.items():
                 out[f"{prefix}.{name}"] = tensor
 
-        if self.stem_exterior is not None:
-            register("stem_exterior", self.stem_exterior.tensors())
-            for i, b in enumerate(self.blocks_exterior):
-                register(f"blocks_exterior.{i}", b.tensors())
-        if self.stem_interior is not None:
-            register("stem_interior", self.stem_interior.tensors())
-            for i, b in enumerate(self.blocks_interior):
-                register(f"blocks_interior.{i}", b.tensors())
+        for mod, (stem_p, blocks) in self.branches.items():
+            register(f"stem_{mod}", stem_p.tensors())
+            for i, b in enumerate(blocks):
+                register(f"blocks_{mod}.{i}", b.tensors())
         if self.joint_branch is not None:
             register("joints", self.joint_branch.tensors())
         if self.concat_params is not None:
@@ -123,20 +117,10 @@ class Model:
 
     # -- forward ------------------------------------------------------------
 
-    def _branch(self, views, stem_p, blocks) -> Tensor:
-        feat = stem(views, stem_p)
-        return block_stack(feat, blocks,
-                           single_direction=self.config.no_dual_scan,
-                           local_only=self.config.no_global_local)
-
     def _input_shapes(self, bundle: SampleBundle) -> List[tuple]:
         """(name, shape) of each array of ``bundle`` that the forward pass reads."""
-        views = []
-        if self.stem_exterior is not None:
-            views += bundle.exterior
-        if self.stem_interior is not None:
-            views += bundle.interior
-        shapes = [(v.view_id, v.frames.shape) for v in views]
+        shapes = [(v.view_id, v.frames.shape) for mod in self.branches
+                  for v in getattr(bundle, mod)]
         if self.joint_branch is not None:
             shapes.append(("joints", bundle.joints.joints.shape))
         return shapes
@@ -160,22 +144,17 @@ class Model:
         cfg = self.config
         shape = (len(batch), cfg.channels, cfg.height, cfg.width)
 
-        if self.stem_exterior is not None:
-            h1 = self._branch([b.exterior for b in batch], self.stem_exterior,
-                              self.blocks_exterior)
-        else:
-            h1 = zeros(shape)
-        if self.stem_interior is not None:
-            h2 = self._branch([b.interior for b in batch], self.stem_interior,
-                              self.blocks_interior)
-        else:
-            h2 = zeros(shape)
+        # stem, block_stack and joints_forward are looked up here at each call,
+        # so a wrapper installed on this module's names sees every branch
+        maps = {mod: block_stack(stem([getattr(b, mod) for b in batch], stem_p), blocks,
+                                 single_direction=cfg.no_dual_scan,
+                                 local_only=cfg.no_global_local)
+                for mod, (stem_p, blocks) in self.branches.items()}
         if self.joint_branch is not None:
-            h3 = joints_forward([b.joints for b in batch], self.joint_branch, train=train)
-        else:
-            h3 = zeros(shape)
-
-        m = ModalityFeatures(h1, h2, h3)
+            maps["joints"] = joints_forward([b.joints for b in batch], self.joint_branch,
+                                            train=train)
+        m = ModalityFeatures(*(maps[mod] if mod in maps else zeros(shape)
+                               for mod in MODALITIES))
         telemetry = None
         if self.concat_params is not None:
             fused = concat_fuse(m, self.concat_params)
@@ -229,6 +208,8 @@ class Model:
             if loaded[name].shape != data.shape:
                 raise InputError(f"{path}: stored shape {loaded[name].shape}, "
                                  f"the model's {data.shape}")
+            if not np.isfinite(loaded[name]).all():
+                raise InputError(f"{path}: holds a non-finite value")
         for name, p in self._params.items():
             p.data = loaded[name]
         for name, stats in self._running_stats().items():

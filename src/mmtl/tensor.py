@@ -109,12 +109,10 @@ def glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> Tensor
 class Node:
     """One recorded operation: how to push the output gradient to the inputs."""
 
-    __slots__ = ("op", "inputs", "output", "backward")
+    __slots__ = ("op", "output", "backward")
 
-    def __init__(self, op: str, inputs: Sequence[Tensor], output: Tensor,
-                 backward: Callable[[np.ndarray], None]):
+    def __init__(self, op: str, output: Tensor, backward: Callable[[np.ndarray], None]):
         self.op = op
-        self.inputs = tuple(inputs)
         self.output = output
         self.backward = backward
 
@@ -155,7 +153,7 @@ def record(op: str, inputs: Sequence[Tensor], output: Tensor,
     tape = _TAPES.active
     if tape is not None and any(t.requires_grad for t in inputs):
         output.requires_grad = True
-        tape.nodes.append(Node(op, inputs, output, backward))
+        tape.nodes.append(Node(op, output, backward))
     return output
 
 

@@ -65,15 +65,18 @@ class TestStem:
         assert np.abs(got - ref).max() < 1e-10
 
     def test_degenerate_single_view_single_frame(self):
-        # T=1, V=1, 1x1 identity depthwise, pool target = input size:
-        # the output is the centered frame passed through the pointwise mix
+        # T=1, V=1, 3x3 centre-tap depthwise on a 7x7 frame, whose 5x5 output
+        # is the pool target: the output is the frame's centred interior
+        # passed through the pointwise mix
         rng = np.random.default_rng(17)
-        p = init_stem(("front",), 1, 2, 5, 5, rng, kernel_size=1)
-        p.depthwise_w[0].data = np.ones((3, 1, 1, 1))
+        p = init_stem(("front",), 1, 2, 5, 5, rng)
+        centre_tap = np.zeros((3, 1, 3, 3))
+        centre_tap[:, :, 1, 1] = 1.0
+        p.depthwise_w[0].data = centre_tap
         p.depthwise_b[0].data = np.zeros(3)
-        frame = rng.random((1, 3, 5, 5))
+        frame = rng.random((1, 3, 7, 7))
         out = stem([[ViewSequence("front", frame)]], p).data[0]
-        centered = frame[0] - 0.5
+        centered = frame[0, :, 1:-1, 1:-1] - 0.5
         pw = p.pointwise_w[0].data[0]            # [cpf=2, 3]
         expect = np.einsum("oc,chw->ohw", pw, centered) \
             + p.pointwise_b[0].data[:, None, None]

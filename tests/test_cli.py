@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, machine-readable output."""
 
+import numpy as np
 import pytest
 
 import mmtl.cli
@@ -8,6 +9,7 @@ from mmtl.data import load_sample_dir
 from mmtl.errors import InputError
 from mmtl.config import ModelConfig, load_config
 from mmtl.model import Model
+from mmtl.serial import dump_tensor
 
 TOY_CONFIG = """\
 frame_count=4
@@ -178,6 +180,15 @@ class TestBenchCli:
         assert main(["bench", "--config", toy_config, "--duration", "0.1",
                      "--weights", str(wdir)]) == 1
         assert "truncated" in capsys.readouterr().err
+
+    def test_non_finite_weight_file_exits_1(self, toy_config, tmp_path, capsys):
+        wdir = tmp_path / "weights"
+        Model(load_config(toy_config)).save_weights(wdir)
+        dump_tensor(np.full((24, 4), np.nan), wdir / "head_der.w.t3tn")
+        assert main(["bench", "--config", toy_config, "--duration", "0.1",
+                     "--weights", str(wdir)]) == 1
+        err = capsys.readouterr().err
+        assert "head_der.w.t3tn" in err and "non-finite" in err and "Traceback" not in err
 
     def test_directory_in_place_of_weight_file_exits_1(self, toy_config, tmp_path, capsys):
         wdir = tmp_path / "weights"

@@ -122,17 +122,22 @@ class TestForward:
             assert np.abs(out.logits[task].data - want).max() < 1e-12
 
     def test_eval_forward_records_nothing(self, monkeypatch):
-        branches = []
-        branch = Model._branch
+        branches = {}
 
-        def kept(self, *args):
-            branches.append(branch(self, *args))
-            return branches[-1]
+        def keeping(name):
+            fn = getattr(mmtl.model, name)
 
-        monkeypatch.setattr(Model, "_branch", kept)
+            def kept(*args, **kwargs):
+                branches.setdefault(name, []).append(fn(*args, **kwargs))
+                return branches[name][-1]
+
+            monkeypatch.setattr(mmtl.model, name, kept)
+
+        keeping("block_stack")
+        keeping("joints_forward")
         out = Model(TOY).forward(toy_samples(2))
-        assert len(branches) == 2
-        assert not any(h.requires_grad for h in branches)
+        assert len(branches["block_stack"]) == 2 and len(branches["joints_forward"]) == 1
+        assert not any(h.requires_grad for hs in branches.values() for h in hs)
         assert not any(lg.requires_grad for lg in out.logits.values())
 
 
@@ -520,6 +525,25 @@ class TestLoadWeightsFuzz:
                 model.load_weights(directory)
         finally:
             path.write_bytes(raw)
+        assert_state_unchanged(model, before)
+
+    @pytest.mark.parametrize("name,value", [("head_der.w", np.nan),
+                                            ("fusion.gate0_bn.running_var", np.inf)])
+    def test_non_finite_value_is_input_error_and_changes_nothing(self, checkpoint, name,
+                                                                  value):
+        directory, model = checkpoint
+        path = directory / (name + ".t3tn")
+        raw = path.read_bytes()
+        before = model_state(model)
+        bad = before[name].copy()
+        bad.flat[bad.size // 2] = value
+        try:
+            dump_tensor(bad, path)
+            with pytest.raises(InputError, match="non-finite") as err:
+                model.load_weights(directory)
+        finally:
+            path.write_bytes(raw)
+        assert str(path) in str(err.value)
         assert_state_unchanged(model, before)
 
     def test_gate_vector_in_the_old_layout_is_rejected(self, checkpoint):

@@ -81,3 +81,20 @@ def test_one_second_train_run_is_correct():
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, result
+
+
+def test_tracer_sees_every_branch_of_a_forward():
+    # the tracer patches the names that Model.forward calls; a forward that
+    # held its own references would leave these rows empty
+    samples = list(data.generate_synthetic(workloads.RECIPE, 1, 7, workloads.TOY))
+    model = Model(workloads.TOY)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        model.forward(samples, train=False)
+    finally:
+        tracer.uninstall()
+    calls = {name: row["calls"] for name, row in tracer.totals().items()}
+    assert calls["blocks.stem"] == 2
+    assert calls["blocks.dual_path_block"] == 2 * workloads.TOY.block_depth
+    assert calls["joints.joints_forward"] == 1

@@ -1,5 +1,6 @@
-"""Source-tree guards: every top-level name in the package has a reader, and
-``serial`` is the package's one filesystem boundary.
+"""Source-tree guards: every top-level name in the package, and every method
+and property of its classes, has a reader, and ``serial`` is the package's one
+filesystem boundary.
 
 A name that only tests read is library code no program runs, so it must
 either gain a reader in ``src/mmtl`` or ``perfbench/`` or leave the tree.
@@ -22,7 +23,8 @@ ALLOWED_UNREAD = {
 
 
 def _definitions(tree: ast.Module):
-    """(name, first line, last line) of each top-level def, class and assignment."""
+    """(qualified name, name, first line, last line) of each top-level def, class
+    and assignment, and of each method and property of a top-level class."""
     for node in tree.body:
         first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -33,8 +35,12 @@ def _definitions(tree: ast.Module):
         else:
             continue
         for name in names:
-            if not (name.startswith("__") and name.endswith("__")):
-                yield name, first, node.end_lineno
+            yield name, name, first, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    first = min([method.lineno] + [d.lineno for d in method.decorator_list])
+                    yield f"{node.name}.{method.name}", method.name, first, method.end_lineno
 
 
 def _unread_names():
@@ -44,11 +50,13 @@ def _unread_names():
     for module, text in sources.items():
         lines = text.splitlines()
         elsewhere = "\n".join([bench_text] + [t for m, t in sources.items() if m != module])
-        for name, first, last in _definitions(ast.parse(text)):
+        for qualname, name, first, last in _definitions(ast.parse(text)):
+            if name.startswith("__") and name.endswith("__"):
+                continue
             rest = "\n".join(lines[:first - 1] + lines[last:])
             word = re.compile(rf"\b{re.escape(name)}\b")
             if not (word.search(rest) or word.search(elsewhere)):
-                unread.append(f"{module}.{name}")
+                unread.append(f"{module}.{qualname}")
     return unread
 
 
